@@ -37,8 +37,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
-_PUSHFORWARD_CAP = 9
-
 
 class ConfigError(ValueError):
     """A flag or config entry is missing, unknown, or out of range."""
@@ -352,6 +350,8 @@ def run_simulate(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("simulate needs n >= 1")
     qp = QParam(config.q)
+    if qp.is_classical:
+        raise ConfigError("simulate needs q in (0, 1)")
     samples = growth.simulate_rescaled(
         config.n, qp, config.trials, config.moments, config.seed
     )
@@ -455,7 +455,7 @@ def run_limit_shape(config: RunConfig) -> int:
 
 
 def run_pushforward(config: RunConfig) -> int:
-    cap = min(_PUSHFORWARD_CAP, max_level())
+    cap = min(rsk._MAX_PUSHFORWARD_N, max_level())
     if config.n > cap:
         raise CapacityError(
             f"exact push-forward is exhaustive; n is capped at {cap}, got {config.n}"

@@ -18,6 +18,25 @@ whose finite-difference defect :func:`pde_residual` measures.  The
 Monte Carlo experiment runs the growth chain for n steps at parameter
 q^(1/sqrt(n)), rescales the support by 1/sqrt(n), and compares the
 Rayleigh moments at parameter q with the integrated moment flow.
+
+The chain runs in a corner walk that advances all trials of a run in
+lockstep.  Each trial is a row over a window of contents holding the
+corner kind (+1 at a minimum, -1 at a maximum, 0 elsewhere) and the
+log-weight L[c] = sum_j T[c - y_j] - sum_i T[c - x_i], where
+T[d] = log|1 - q^d| and T[0] = 0; at a minimum, exp(L) is its transition
+weight.  Growing a box at the minimum c changes the kinds by the stencil
+(+1, -2, +1) at c - 1, c, c + 1 whatever the neighbors were, so L gains
+one fixed kernel K[d] = 2 T[d] - T[d - 1] - T[d + 1] shifted to c.  A
+step is therefore a masked exp and cumsum per row, an inverse-CDF pick
+(the first minimum whose running sum reaches u times the total), one
+row add and three integer writes.  T is built in log space, so no power
+of q overflows.  The window doubles when a minimum comes within one
+column of its edge, and then L is summed afresh from the corners.  Every
+512 steps L is also summed afresh and the normalized weights of both are
+compared: a difference beyond rtol 1e-8 raises RuntimeError, otherwise
+the fresh sums replace the incremental ones.  :func:`kernel.grow_trajectory`
+is the slow reference chain; it consumes the same variates and visits
+the same shapes.
 """
 
 from __future__ import annotations
@@ -26,9 +45,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dynamics, kernel
-from .diagrams import CapacityError, InterlacingDiagram, Partition, from_interlacing
+from .diagrams import InterlacingDiagram, Partition, from_interlacing
 from .moments import r_diagram
 from .qmeasure import QParam, one_minus_qpow
 
@@ -36,6 +56,19 @@ from .qmeasure import QParam, one_minus_qpow
 # rounding drift of the incremental updates and cross-checks them.
 _RECOMPUTE_EVERY = 512
 _DRIFT_TOLERANCE = 1e-8
+_INITIAL_WIDTH = 64
+# Trials walked together, and steps of uniforms drawn at once per trial;
+# both bound the memory of a run whatever its size.
+_BATCH_TRIALS = 256
+_UNIFORM_BLOCK = 4096
+# Columns of the Toeplitz matrix of T materialized at once.
+_TOEPLITZ_BLOCK = 128
+_TINY = np.finfo(np.float64).tiny
+_LOG_CAP = 700.0
+# Growing at c turns c into a maximum and c - 1, c + 1 into minima or
+# plain columns: the same change of ``kind`` in every case.
+_STENCIL_CELLS = np.array([-1, 0, 1])
+_STENCIL = np.array([1, -2, 1], dtype=np.int8)
 
 
 class DeformationError(ValueError):
@@ -170,128 +203,133 @@ def pde_residual(
     return abs(dr_dx + scale * dr_dt / r_here)
 
 
-class _CornerWalk:
-    """Growth chain on integer corner coordinates with incremental weights.
+class _LockstepWalk:
+    """Growth chains of several trials advanced in lockstep on one window.
 
-    Keeps the minima, maxima, and the current transition weights; one
-    growth step multiplies every surviving weight by three local factors
-    (the grown minimum turns into a maximum, its two neighbors change
-    role), so a step costs O(m) instead of the O(m^2) full product.
-    A full recompute every ``_RECOMPUTE_EVERY`` steps bounds drift.
+    Row b of ``kind`` and ``log_weights`` is trial b over the contents
+    ``lo .. lo + width - 1``; the module docstring gives the update.
+    ``log_weights`` holds L[c] = -sum_e kind[e] T[c - e], the module's
+    log-weight written as one sum over the corners.
     """
 
-    def __init__(self, qp: QParam) -> None:
+    def __init__(self, qp: QParam, trials: int) -> None:
         if qp.is_classical:
             raise ValueError("the corner walk runs at q in (0, 1)")
-        self.q = qp.q
         self.rho = qp.log_inv
-        self.minima = np.array([0], dtype=np.int64)
-        self.maxima = np.array([], dtype=np.int64)
-        self.mu = np.array([1.0])
-        self._halfwidth = 64
-        self._rebuild_table()
+        self.lo = -_INITIAL_WIDTH // 2
+        self.kind = np.zeros((trials, _INITIAL_WIDTH), dtype=np.int8)
+        self.kind[:, -self.lo] = 1
+        self._build_tables()
+        self.log_weights = self._direct_log_weights()
+        self._free = 0
         self._steps = 0
 
-    def _rebuild_table(self) -> None:
-        d = self._halfwidth
-        if d * self.rho > 690.0:
-            raise CapacityError(
-                f"corner span {d} at q = {self.q} exceeds the floating-point "
-                f"range of the power table"
-            )
-        self._qpow = np.exp(np.arange(-d, d + 1, dtype=np.float64) * -self.rho)
+    @property
+    def width(self) -> int:
+        return self.kind.shape[1]
 
-    def _ensure_span(self) -> None:
-        span = int(self.minima[-1] - self.minima[0]) + 4
-        if span > self._halfwidth:
-            self._halfwidth = max(2 * self._halfwidth, span)
-            self._rebuild_table()
+    def _build_tables(self) -> None:
+        width = self.width
+        d = np.arange(-width, width + 1)
+        # 1 - q^d for d < 0 is -q^d (1 - q^|d|); its log stays finite
+        with np.errstate(divide="ignore"):
+            table = np.log(-np.expm1(-np.abs(d) * self.rho))
+        table += np.maximum(-d, 0) * self.rho
+        table[width] = 0.0
+        self._table = table[1:-1]  # T[d] for |d| < width
+        kernel_row = 2.0 * table[1:-1] - table[:-2] - table[2:]
+        # row c of this view is K[e - c] over the columns e
+        self._kernel_rows = sliding_window_view(kernel_row, width)[::-1]
+        self._row_starts = np.arange(len(self.kind))[:, None] * width
 
-    def _one_minus_qpow(self, exponents: np.ndarray) -> np.ndarray:
-        return 1.0 - self._qpow[exponents + self._halfwidth]
+    def _direct_log_weights(self) -> np.ndarray:
+        # the product formula in log space, summed afresh at every column
+        width = self.width
+        toeplitz = sliding_window_view(self._table, width)[::-1]  # T[c - e]
+        kind = self.kind.astype(np.float64)
+        out = np.empty(kind.shape)
+        for first in range(0, width, _TOEPLITZ_BLOCK):
+            block = slice(first, first + _TOEPLITZ_BLOCK)
+            out[:, block] = kind @ np.ascontiguousarray(toeplitz[:, block])
+        return -out
 
-    def _full_weights(self) -> np.ndarray:
-        x = self.minima
-        y = self.maxima
-        m1 = len(x)
-        if m1 == 1:
-            return np.array([1.0])
-        num = self._one_minus_qpow(x[:, None] - y[None, :])
-        j = np.arange(m1 - 1)[None, :]
-        k = np.arange(m1)[:, None]
-        den = self._one_minus_qpow(x[:, None] - x[j + (j >= k)])
-        return np.prod(num / den, axis=1)
+    def _fit_window(self) -> None:
+        # Every minimum c must keep c - 1 and c + 1 inside the window.
+        minima = self.kind == 1
+        left = int(minima.argmax(axis=1).min())
+        right = self.width - 1 - int(minima[:, ::-1].argmax(axis=1).min())
+        if left < 1 or right > self.width - 2:
+            a, b = self.lo + left, self.lo + right
+            width = 2 * self.width
+            # the support scales about content 0 as sqrt(steps), so the
+            # spare columns go to each side in proportion to its extent
+            spare = width - (b - a) - 1
+            left_spare = min(max(round(spare * -a / (b - a)), 4), spare - 4)
+            lo = a - left_spare
+            kind = np.zeros((len(self.kind), width), dtype=np.int8)
+            kind[:, a - lo : b - lo + 1] = self.kind[:, left : right + 1]
+            self.lo = lo
+            self.kind = kind
+            self._build_tables()
+            self.log_weights = self._direct_log_weights()
+            left, right = a - lo, b - lo
+        # minima move at most one column per step
+        self._free = min(left, self.width - 1 - right)
 
-    def _fresh_weight(self, position: int) -> float:
-        x = self.minima
-        idx = int(np.searchsorted(x, position))
-        num = self._one_minus_qpow(position - self.maxima)
-        den = self._one_minus_qpow(position - np.delete(x, idx))
-        return float(np.prod(num / den))
-
-    def step(self, u: float) -> None:
-        """Grow one box; ``u`` is the uniform variate driving the choice."""
-        self._ensure_span()
-        cumulative = np.cumsum(self.mu)
-        k = int(np.searchsorted(cumulative, u * cumulative[-1]))
-        k = min(k, len(self.mu) - 1)
-        c = int(self.minima[k])
-
-        survivors = np.delete(self.minima, k)
-        mu = np.delete(self.mu, k)
-        if len(survivors):
-            grown = self._one_minus_qpow(survivors - c)
-            left = self._one_minus_qpow(survivors - (c - 1))
-            right = self._one_minus_qpow(survivors - (c + 1))
-            mu = mu * (grown * grown / (left * right))
-
-        maxima = self.maxima
-        fresh: list[int] = []
-        for d in (c - 1, c + 1):
-            pos = int(np.searchsorted(maxima, d))
-            if pos < len(maxima) and maxima[pos] == d:
-                maxima = np.delete(maxima, pos)
-            else:
-                fresh.append(d)
-        maxima = np.insert(maxima, int(np.searchsorted(maxima, c)), c)
-
-        minima = survivors
-        for d in fresh:
-            pos = int(np.searchsorted(minima, d))
-            minima = np.insert(minima, pos, d)
-            mu = np.insert(mu, pos, 0.0)
-
-        self.minima = minima
-        self.maxima = maxima
-        for d in fresh:
-            idx = int(np.searchsorted(minima, d))
-            mu[idx] = self._fresh_weight(d)
-
+    def step(self, u: np.ndarray) -> None:
+        """Grow one box in every trial; ``u[b]`` is trial b's uniform variate."""
+        if self._free == 0:
+            self._fit_window()
+        weights = _minima_weights(self.log_weights, self.kind)
+        cumulative = np.cumsum(weights, axis=1)
+        # first column whose running sum reaches u * total; u = 0 keeps
+        # the first minimum, as the inverse-CDF rule does
+        threshold = np.maximum(u * cumulative[:, -1], _TINY)
+        pick = np.argmax(cumulative >= threshold[:, None], axis=1)
+        self.log_weights += self._kernel_rows[pick]
+        cells = self._row_starts + pick[:, None] + _STENCIL_CELLS
+        self.kind.reshape(-1)[cells] += _STENCIL
+        self._free -= 1
         self._steps += 1
         if self._steps % _RECOMPUTE_EVERY == 0:
-            direct = self._full_weights()
-            direct = direct / direct.sum()
-            drifted = mu / mu.sum()
-            if not np.allclose(direct, drifted, rtol=_DRIFT_TOLERANCE, atol=1e-12):
-                raise RuntimeError(
-                    "incremental weights drifted from the product formula"
-                )
-            mu = direct
-        self.mu = mu / mu.sum()
+            self._resync()
 
-    def diagram(self) -> InterlacingDiagram:
+    def _resync(self) -> None:
+        direct = self._direct_log_weights()
+        exact = _minima_weights(direct, self.kind)
+        drifted = _minima_weights(self.log_weights, self.kind)
+        exact /= exact.sum(axis=1, keepdims=True)
+        drifted /= drifted.sum(axis=1, keepdims=True)
+        if not np.allclose(exact, drifted, rtol=_DRIFT_TOLERANCE, atol=1e-12):
+            raise RuntimeError("incremental weights drifted from the product formula")
+        self.log_weights = direct
+
+    def weights(self, row: int) -> np.ndarray:
+        """Normalized transition weights of trial ``row``, in minima order."""
+        weights = np.exp(self.log_weights[row][self.kind[row] == 1])
+        return weights / weights.sum()
+
+    def diagram(self, row: int) -> InterlacingDiagram:
+        kind = self.kind[row]
         return InterlacingDiagram(
-            tuple(int(v) for v in self.minima), tuple(int(v) for v in self.maxima)
+            tuple(int(v) + self.lo for v in np.flatnonzero(kind == 1)),
+            tuple(int(v) + self.lo for v in np.flatnonzero(kind == -1)),
         )
 
 
+def _minima_weights(log_weights: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    # exp(L) at the minima and 0 elsewhere; the cap only guards columns
+    # that are not minima, where L is not a log-probability
+    return np.exp(np.minimum(log_weights, _LOG_CAP)) * (kind == 1)
+
+
 def _rescaled_p_moments(
-    walk: _CornerWalk, n_boxes: int, qp: QParam, n_max: int
+    w: InterlacingDiagram, n_boxes: int, qp: QParam, n_max: int
 ) -> tuple[float, ...]:
     # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q.
     scale = qp.log_inv / math.sqrt(n_boxes)
-    mins = walk.minima.astype(np.float64)
-    maxs = walk.maxima.astype(np.float64)
+    mins = np.asarray(w.minima, dtype=np.float64)
+    maxs = np.asarray(w.maxima, dtype=np.float64)
     out = []
     for n in range(1, n_max + 1):
         out.append(
@@ -352,8 +390,10 @@ def simulate_rescaled(
 ) -> list[TrajectorySample]:
     """Run ``trials`` growth chains of ``n_boxes`` steps at q^(1/sqrt(n)).
 
-    Each trial consumes its own generator stream (seed, trial index), so
-    results do not depend on execution order and reruns are identical.
+    Trials run together in batches of the corner walk, but each trial
+    consumes its own generator stream (seed, trial index), one uniform
+    per step, so results do not depend on the batching and reruns are
+    identical.
     Returns the final shapes with their rescaled Rayleigh moments at
     parameter q.
     """
@@ -363,18 +403,23 @@ def simulate_rescaled(
         raise ValueError(f"trials must be positive, got {trials}")
     q_sim = QParam(qp.q ** (1.0 / math.sqrt(n_boxes)))
     samples = []
-    for trial in range(trials):
-        rng = kernel.trajectory_rng(seed, trial)
-        walk = _CornerWalk(q_sim)
-        for _ in range(n_boxes):
-            walk.step(rng.random())
-        samples.append(
-            TrajectorySample(
-                trial,
-                from_interlacing(walk.diagram()),
-                _rescaled_p_moments(walk, n_boxes, qp, n_max),
+    for first in range(0, trials, _BATCH_TRIALS):
+        batch = range(first, min(first + _BATCH_TRIALS, trials))
+        walk = _LockstepWalk(q_sim, len(batch))
+        rngs = [kernel.trajectory_rng(seed, trial) for trial in batch]
+        for done in range(0, n_boxes, _UNIFORM_BLOCK):
+            count = min(_UNIFORM_BLOCK, n_boxes - done)
+            for u in np.array([rng.random(count) for rng in rngs]).T:
+                walk.step(u)
+        for row, trial in enumerate(batch):
+            w = walk.diagram(row)
+            samples.append(
+                TrajectorySample(
+                    trial,
+                    from_interlacing(w),
+                    _rescaled_p_moments(w, n_boxes, qp, n_max),
+                )
             )
-        )
     return samples
 
 

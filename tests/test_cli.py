@@ -101,6 +101,10 @@ class TestExitCodes:
         assert main(["limit-shape", "--q", "1.0"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_simulate_needs_deformed_parameter(self, capsys):
+        assert main(["simulate", "--q", "1.0"]) == EXIT_CONFIG
+        assert "simulate needs q in (0, 1)" in capsys.readouterr().err
+
     def test_unwritable_output_path(self, capsys):
         code = main(["pushforward", "--n", "3", "--out", "/nonexistent/d/f.csv"])
         assert code == EXIT_CONFIG

@@ -1,15 +1,19 @@
 """Continuous deformation and the Monte Carlo limit experiment."""
 
+import functools
+import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from qplancherel import kernel
+from qplancherel import kernel, rsk
 from qplancherel.diagrams import Partition, from_interlacing, to_interlacing
 from qplancherel.growth import (
+    _INITIAL_WIDTH,
     DeformationError,
-    _CornerWalk,
+    _LockstepWalk,
     deform,
     deformed_r,
     growth_derivative,
@@ -199,6 +203,15 @@ class TestRIdentityPreservation:
                 ) < 1e-9
 
 
+def _walk(qp, streams, n, seed):
+    # n lockstep steps, trial b driven by trajectory_rng(seed, streams[b])
+    walk = _LockstepWalk(qp, len(streams))
+    uniforms = [kernel.trajectory_rng(seed, s).random(n) for s in streams]
+    for u in np.array(uniforms).T:
+        walk.step(u)
+    return walk
+
+
 class TestCornerWalk:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_chain(self, seed):
@@ -207,25 +220,117 @@ class TestCornerWalk:
         qp = QParam(0.55)
         n = 60
         reference = kernel.grow_trajectory(n, qp, seed)
-        rng = kernel.trajectory_rng(seed)
-        walk = _CornerWalk(qp)
-        for _ in range(n):
-            walk.step(rng.random())
-        assert from_interlacing(walk.diagram()) == reference.final
+        walk = _walk(qp, [0], n, seed)
+        assert from_interlacing(walk.diagram(0)) == reference.final
 
     def test_incremental_weights_match_product(self):
         qp = QParam(0.5)
-        rng = kernel.trajectory_rng(7)
-        walk = _CornerWalk(qp)
-        for _ in range(200):
-            walk.step(rng.random())
-        direct = kernel.transition_weights(walk.diagram(), qp)
-        for a, b in zip(walk.mu, direct):
+        walk = _walk(qp, [0], 200, seed=7)
+        direct = kernel.transition_weights(walk.diagram(0), qp)
+        for a, b in zip(walk.weights(0), direct):
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_classical_parameter_rejected(self):
         with pytest.raises(ValueError):
-            _CornerWalk(QParam(1.0))
+            _LockstepWalk(QParam(1.0), 1)
+
+    def test_regrown_window_matches_reference_chain(self):
+        # 600 steps: the first rows outgrow the initial window twice and
+        # the walk passes one drift check; every trial of the batch still
+        # follows its own reference chain
+        qp = QParam(0.55)
+        n = 600
+        walk = _walk(qp, range(3), n, seed=3)
+        assert walk.width > 2 * _INITIAL_WIDTH
+        for stream in range(3):
+            reference = kernel.grow_trajectory(n, qp, 3, stream)
+            assert from_interlacing(walk.diagram(stream)) == reference.final
+
+    def test_drift_check_catches_corrupted_weight(self):
+        qp = QParam(0.5)
+        clean, corrupted = (_walk(qp, range(2), 511, seed=4) for _ in range(2))
+        # corrupt the heaviest minimum other than the leftmost, which
+        # u = 0 grows, so the corrupted cell is still a minimum when the
+        # check runs after step 512
+        cells = np.flatnonzero(corrupted.kind[1] == 1)[1:]
+        cell = cells[np.argmax(corrupted.log_weights[1, cells])]
+        corrupted.log_weights[1, cell] += 1e-6
+        clean.step(np.zeros(2))
+        with pytest.raises(RuntimeError, match="drifted"):
+            corrupted.step(np.zeros(2))
+
+
+def _maj_slot(perm, k):
+    # The slot (insert before index s) at which the value len(perm) + 1
+    # raises MAJ by k: the last slot by 0, the descent slots right to
+    # left by 1..d, the other slots left to right by d + 1..len(perm).
+    i = len(perm) + 1
+    if k == 0:
+        return i - 1
+    descents = [s for s in range(1, i - 1) if perm[s - 1] > perm[s]]
+    if k <= len(descents):
+        return descents[-k]
+    others = [s for s in range(i - 1) if s not in descents]
+    return others[k - len(descents) - 1]
+
+
+def _maj_biased_permutation(n, q, rng):
+    # Insert 1..n in turn; Z_i = sum_{k<i} q^k factors the q^MAJ mass,
+    # so a truncated-geometric increment per insertion samples q^MAJ.
+    perm = []
+    log_q = math.log(q)
+    for i in range(1, n + 1):
+        u = rng.random()
+        k = int(math.log1p(u * math.expm1(i * log_q)) / log_q)
+        perm.insert(_maj_slot(perm, min(k, i - 1)), i)
+    return tuple(perm)
+
+
+def _statistics(shapes):
+    return tuple(s.parts[0] for s in shapes), tuple(len(s.parts) for s in shapes)
+
+
+@functools.cache
+def _rsk_statistics(n, q):
+    rng = np.random.default_rng(1)
+    return _statistics(
+        [rsk._insertion_shape(_maj_biased_permutation(n, q, rng)) for _ in range(400)]
+    )
+
+
+def _walk_statistics(n, q):
+    # simulate_rescaled runs the chain at (q^sqrt(n))^(1/sqrt(n)) = q
+    samples = simulate_rescaled(n, QParam(q ** math.sqrt(n)), 400, 1, seed=5)
+    return _statistics([s.shape for s in samples])
+
+
+class TestMajOracle:
+    """The walk's level-n shapes against RSK shapes of q^MAJ permutations.
+
+    An independent route to the q-Plancherel measure at sizes exhaustive
+    push-forward cannot reach.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_slot_labelling_matches_maj(self, n):
+        for perm in itertools.permutations(range(1, n)):
+            base = rsk.maj(perm) if perm else 0
+            slots = set()
+            for k in range(n):
+                s = _maj_slot(perm, k)
+                assert rsk.maj(perm[:s] + (n,) + perm[s:]) - base == k
+                slots.add(s)
+            assert len(slots) == n
+
+    @pytest.mark.parametrize("n,q", [(50, 0.8), (200, 0.95)])
+    def test_walk_shapes_match_rsk_shapes(self, n, q):
+        for ours, theirs in zip(_walk_statistics(n, q), _rsk_statistics(n, q)):
+            assert ks_2samp(ours, theirs).pvalue > 0.001
+
+    def test_comparison_rejects_shifted_parameter(self):
+        # the test has power: at 200 boxes, q off by 3% is rejected
+        first_rows, _ = _walk_statistics(200, 0.97 * 0.95)
+        assert ks_2samp(first_rows, _rsk_statistics(200, 0.95)[0]).pvalue < 1e-6
 
 
 class TestSimulateRescaled:
