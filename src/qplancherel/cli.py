@@ -7,7 +7,8 @@ run embeds its full resolved configuration in the output header as
 config file, so a saved CSV header reproduces its run byte for byte.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 configuration
-error, 3 capacity exceeded.
+error, 3 capacity exceeded (including moments beyond the floating-point
+range).
 """
 
 from __future__ import annotations
@@ -553,7 +554,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CapacityError as exc:
+    except (CapacityError, moments.MomentOverflowError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 

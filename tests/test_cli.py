@@ -105,6 +105,14 @@ class TestExitCodes:
         assert main(["simulate", "--q", "1.0"]) == EXIT_CONFIG
         assert "simulate needs q in (0, 1)" in capsys.readouterr().err
 
+    def test_moment_overflow_is_capacity_error(self, capsys):
+        # the flow target p_3 at q = 1e-8 is beyond the double range
+        argv = ["simulate", "--q", "1e-8", "--n", "10", "--trials", "2"]
+        assert main(argv) == EXIT_CAPACITY
+        assert "capacity error" in capsys.readouterr().err
+        assert main(["limit-shape", "--q", "1e-5", "--moments", "6"]) == EXIT_CAPACITY
+        assert "p_6" in capsys.readouterr().err
+
     def test_unwritable_output_path(self, capsys):
         code = main(["pushforward", "--n", "3", "--out", "/nonexistent/d/f.csv"])
         assert code == EXIT_CONFIG

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qplancherel import dynamics
 from qplancherel.dynamics import (
     IntegrationAccuracyError,
     closed_form,
@@ -13,7 +14,14 @@ from qplancherel.dynamics import (
     ode_rhs,
     polynomial_structure_residual,
 )
-from qplancherel.moments import h_moments, p_moments, transition_measure
+from qplancherel.limitshape import series_h_omega
+from qplancherel.moments import (
+    MomentOverflowError,
+    h_moments,
+    p_moments,
+    p_to_h,
+    transition_measure,
+)
 from qplancherel.qmeasure import QParam
 
 
@@ -167,6 +175,78 @@ class TestLimitMoments:
         p = limit_moments(QParam(1.0 - 1e-6), 3)
         for v in p.values:
             assert v == pytest.approx(1.0, abs=1e-5)
+
+
+class TestExactFlow:
+    """limit_moments in closed form against the series and RK4 oracles."""
+
+    def test_series_sweep(self):
+        # q log-spaced over [1e-4, 1 - 1e-9]; where the series leaves the
+        # double range the flow must refuse rather than return inf
+        lo, hi = math.log(1e-4), math.log(1.0 - 1e-9)
+        for i in range(25):
+            qp = QParam(math.exp(lo + (hi - lo) * i / 24))
+            for n_max in range(1, 9):
+                series = series_h_omega(qp, n_max).values
+                if not all(math.isfinite(v) for v in series):
+                    with pytest.raises(MomentOverflowError):
+                        limit_moments(qp, n_max)
+                    continue
+                flow = p_to_h(limit_moments(qp, n_max)).values
+                for a, b in zip(flow, series):
+                    assert a == pytest.approx(b, rel=1e-12), (qp.q, n_max)
+
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
+    def test_matches_rk4(self, q):
+        qp = QParam(q)
+        rk4 = integrate_moments((1.0,) * 6, limit_sigma(qp), steps=1000).y
+        assert limit_moments(qp, 6).values == pytest.approx(rk4, rel=1e-8)
+
+    def test_reduced_polynomials_match_closed_forms(self):
+        sigma = 0.7
+        for n in range(1, 5):
+            p_coeffs, _ = dynamics._flow_coefficients(n)
+            value = sum(c * sigma**i for i, c in enumerate(p_coeffs))
+            assert value * math.exp(n * sigma) == pytest.approx(
+                closed_form(n, sigma, (1.0,) * 4), rel=1e-14
+            )
+
+    def test_one_rhs_call(self, monkeypatch):
+        calls = []
+
+        def counting(y):
+            calls.append(len(y))
+            return ode_rhs(y)
+
+        monkeypatch.setattr(dynamics, "ode_rhs", counting)
+        limit_moments(QParam(0.4), 6)
+        assert calls == [6]
+
+    def test_corrupted_coefficient_fails_the_gate(self, monkeypatch):
+        exact = dynamics._flow_coefficients
+
+        def corrupted(n):
+            p_coeffs, slope_coeffs = exact(n)
+            if n == 3:
+                p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
+            return p_coeffs, slope_coeffs
+
+        monkeypatch.setattr(dynamics, "_flow_coefficients", corrupted)
+        with pytest.raises(IntegrationAccuracyError):
+            limit_moments(QParam(0.5), 4)
+
+    def test_large_moments_and_overflow(self):
+        qp = QParam(1e-5)
+        p = limit_moments(qp, 3)
+        assert 3e177 < p.values[2] < 5e177
+        for a, b in zip(p_to_h(p).values, series_h_omega(qp, 3).values):
+            assert a == pytest.approx(b, rel=1e-12)
+        with pytest.raises(MomentOverflowError, match="p_6 at q = 1e-05"):
+            limit_moments(qp, 6)
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):
+            limit_moments(QParam(0.5), 0)
 
 
 class TestDynamicEquivalence:
