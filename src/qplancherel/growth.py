@@ -4,15 +4,16 @@ A diagram w with minima x_k grows continuously by attaching, above each
 minimum, a square of area mu_k * t, where mu = (mu_1, ..., mu_{m+1}) are
 the transition weights.  The deformed profile w_t has minima
 {x_k - sqrt(mu_k t), x_k + sqrt(mu_k t)} and maxima given by all old
-corners {x_k} union {y_j}.  Its R-function obeys, at t = 0,
+corners {x_k} union {y_j}.  In the q-bracket [d]_q = (1 - q^d) / (1 - q)
+and with c = ln(1/q) / (1 - q), both of which tend to their classical
+values d and 1 as q -> 1, its R-function obeys, at t = 0,
 
-    d/dt R(x; q) = R(x; q) * ln^2(1/q) * sum_k mu_k q^(x - x_k)
-                                               / (1 - q^(x - x_k))^2,
+    d/dt R(x; q) = R(x; q) * c^2 * sum_k mu_k q^(x - x_k) / [x - x_k]_q^2,
 
 and together with the x-derivative of the partial-fraction form this
 gives the conservation law
 
-    dR/dx + (1 - q) / ln(1/q) * R^(-1) * dR/dt = 0,
+    dR/dx + c^(-1) * R^(-1) * dR/dt = 0,
 
 whose finite-difference defect :func:`pde_residual` measures.  The
 Monte Carlo experiment runs the growth chain for n steps at parameter
@@ -49,8 +50,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dynamics, kernel
 from .diagrams import InterlacingDiagram, Partition, from_interlacing
-from .moments import r_diagram
-from .qmeasure import QParam, one_minus_qpow
+from .moments import _EXP_GUARD, MomentOverflowError, r_diagram
+from .qmeasure import QParam
 
 # A full recompute of all weights every this many steps bounds the
 # rounding drift of the incremental updates and cross-checks them.
@@ -65,6 +66,9 @@ _UNIFORM_BLOCK = 4096
 _TOEPLITZ_BLOCK = 128
 _TINY = np.finfo(np.float64).tiny
 _LOG_CAP = 700.0
+# A Monte Carlo standard error this many ulp of the mean or below is
+# rounding in the moment sums, not sampling noise.
+_ROUNDING_FLOOR_ULPS = 8
 # Growing at c turns c into a maximum and c - 1, c + 1 into minima or
 # plain columns: the same change of ``kind`` in every case.
 _STENCIL_CELLS = np.array([-1, 0, 1])
@@ -168,21 +172,17 @@ def growth_derivative(
     x: float,
     weights=None,
 ) -> float:
-    """d/dt at t = 0 of the deformed R-function, in closed form."""
+    """d/dt at t = 0 of the deformed R-function, in closed form.
+
+    R c^2 sum_k mu_k q^d / [d]_q^2 with d = x - x_k.
+    """
     if weights is None:
         weights = kernel.transition_weights(w, qp)
-    base = r_diagram(w, qp, x)
-    if qp.is_classical:
-        total = math.fsum(
-            v / (x - xk) ** 2 for xk, v in zip(w.minima, weights)
-        )
-        return base * total
-    rho = qp.log_inv
     total = math.fsum(
-        v * math.exp(-(x - xk) * rho) / one_minus_qpow(qp, x - xk) ** 2
+        v * math.exp(-(x - xk) * qp.log_inv) / qp.bracket(x - xk) ** 2
         for xk, v in zip(w.minima, weights)
     )
-    return base * rho * rho * total
+    return r_diagram(w, qp, x) * qp.c**2 * total
 
 
 def pde_residual(
@@ -192,15 +192,14 @@ def pde_residual(
     dt: float = 1e-6,
     dx: float = 1e-5,
 ) -> float:
-    """Central-difference defect of dR/dx + (1-q)/ln(1/q) R^(-1) dR/dt."""
+    """Central-difference defect of dR/dx + c^(-1) R^(-1) dR/dt."""
     weights = kernel.transition_weights(w, qp)
     r_here = r_diagram(w, qp, x)
     dr_dt = (
         deformed_r(w, weights, dt, qp, x) - deformed_r(w, weights, -dt, qp, x)
     ) / (2.0 * dt)
     dr_dx = (r_diagram(w, qp, x + dx) - r_diagram(w, qp, x - dx)) / (2.0 * dx)
-    scale = 1.0 if qp.is_classical else (1.0 - qp.q) / qp.log_inv
-    return abs(dr_dx + scale * dr_dt / r_here)
+    return abs(dr_dx + dr_dt / (qp.c * r_here))
 
 
 class _LockstepWalk:
@@ -326,8 +325,14 @@ def _minima_weights(log_weights: np.ndarray, kind: np.ndarray) -> np.ndarray:
 def _rescaled_p_moments(
     w: InterlacingDiagram, n_boxes: int, qp: QParam, n_max: int
 ) -> tuple[float, ...]:
-    # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q.
+    # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q;
+    # the largest exponent sits at the last minimum.
     scale = qp.log_inv / math.sqrt(n_boxes)
+    if n_max * scale * w.minima[-1] > _EXP_GUARD:
+        raise MomentOverflowError(
+            f"rescaled Rayleigh moment p_{n_max} is outside floating-point "
+            f"range at q = {qp.q}"
+        )
     mins = np.asarray(w.minima, dtype=np.float64)
     maxs = np.asarray(w.maxima, dtype=np.float64)
     out = []
@@ -363,8 +368,14 @@ class McReport:
     targets: tuple[float, ...]
 
     def z_scores(self) -> tuple[float, ...]:
+        """(mean - target) / stderr per moment.
+
+        A standard error of at most 8 ulp of |mean|, zero included, is the
+        rounding floor of the moment sums rather than a sampling error,
+        and gives inf.
+        """
         return tuple(
-            (m - t) / s if s > 0 else math.inf
+            (m - t) / s if s > _ROUNDING_FLOOR_ULPS * math.ulp(m) else math.inf
             for m, s, t in zip(self.means, self.stderrs, self.targets)
         )
 

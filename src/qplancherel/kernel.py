@@ -1,19 +1,17 @@
 """Transition kernel of the deformed growth process on the Young lattice.
 
 A diagram with interlacing minima x_1 < y_1 < ... < y_m < x_{m+1} grows
-by one box at a minimum.  For 0 < q < 1 the probability of growing at
-x_k is the product
+by one box at a minimum.  In the q-bracket [d]_q = (1 - q^d) / (1 - q),
+which tends to d as q -> 1, the probability of growing at x_k is
 
-    mu_k = prod_{i<k} (1 - q^(x_k - y_i)) / (1 - q^(x_k - x_i))
-         * prod_{i>k} (1 - q^(x_k - y_{i-1})) / (1 - q^(x_k - x_i)),
+    mu_k = prod_{i<k} [x_k - y_i]_q / [x_k - x_i]_q
+         * prod_{i>k} [x_k - y_{i-1}]_q / [x_k - x_i]_q
 
-and at q = 1 the classical residue form
-mu_k = prod_i (x_k - y_i) / prod_{i != k} (x_k - x_i), computed directly
-rather than as a limit.  The same numbers are the unique solution of the
-partial-fraction identity
+for every q in (0, 1]; at q = 1 it is the classical residue form
+prod_i (x_k - y_i) / prod_{i != k} (x_k - x_i).  The same numbers are
+the unique solution of the partial-fraction identity
 
-    sum_k mu_k / (1 - q^(x - x_k))
-        = prod_i (1 - q^(x - y_i)) / prod_i (1 - q^(x - x_i)),
+    sum_k mu_k / [x - x_k]_q = prod_i [x - y_i]_q / prod_i [x - x_i]_q,
 
 which :func:`partial_fraction_weights` exploits as an independent linear
 solve on a grid of evaluation points above the support.
@@ -28,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagrams import InterlacingDiagram, Partition, to_interlacing
-from .qmeasure import QParam, one_minus_qpow
+from .qmeasure import QParam
 
 
 class SingularSystemError(RuntimeError):
@@ -43,25 +41,13 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     """
     x = w.minima
     y = w.maxima
-    m = len(y)
+    bracket = qp.bracket
     out = []
-    if qp.is_classical:
-        for k in range(m + 1):
-            value = 1.0
-            for i in range(k):
-                value *= (x[k] - y[i]) / (x[k] - x[i])
-            for i in range(k + 1, m + 1):
-                value *= (x[k] - y[i - 1]) / (x[k] - x[i])
-            out.append(value)
-        return tuple(out)
-    for k in range(m + 1):
+    for k, xk in enumerate(x):
         value = 1.0
-        for i in range(k):
-            value *= one_minus_qpow(qp, x[k] - y[i]) / one_minus_qpow(qp, x[k] - x[i])
-        for i in range(k + 1, m + 1):
-            value *= one_minus_qpow(qp, x[k] - y[i - 1]) / one_minus_qpow(
-                qp, x[k] - x[i]
-            )
+        for i, xi in enumerate(x):
+            if i != k:
+                value *= bracket(xk - y[i if i < k else i - 1]) / bracket(xk - xi)
         out.append(value)
     return tuple(out)
 
@@ -82,19 +68,21 @@ def _exact_pf_solve(
     # is what an oracle should be; q is lifted to the Fraction equal to
     # its binary value.
     qf = Fraction(qp.q)
+
+    # (1 - q) [d]_q, or d as a Fraction at q = 1 so that 1 / d stays
+    # exact; the common factor (1 - q) cancels from both sides
+    def scaled_bracket(d: int) -> Fraction:
+        return Fraction(d) if qp.is_classical else 1 - qf**d
+
     n = len(offsets)
     rows = []
     for g in range(n):
-        if qp.is_classical:
-            row = [Fraction(1, d) for d in offsets[g]]
-        else:
-            row = [1 / (1 - qf**d) for d in offsets[g]]
+        row = [1 / scaled_bracket(d) for d in offsets[g]]
         rhs = Fraction(1)
         for i in range(len(w.maxima)):
-            dy = offsets[g][i] + int(w.minima[i]) - int(w.maxima[i])
-            rhs *= dy if qp.is_classical else 1 - qf**dy
+            rhs *= scaled_bracket(offsets[g][i] + int(w.minima[i]) - int(w.maxima[i]))
         for d in offsets[g]:
-            rhs /= d if qp.is_classical else 1 - qf**d
+            rhs /= scaled_bracket(d)
         rows.append(row + [rhs])
     for col in range(n):
         pivot = next(
@@ -132,8 +120,6 @@ def partial_fraction_weights(
     kernel matrix at small q.  Other grids use a floating solve;
     over-determined ones in the least-squares sense.
     """
-    x = np.asarray(w.minima, dtype=float)
-    y = np.asarray(w.maxima, dtype=float)
     m = len(w.maxima)
     if x_grid is None:
         x_grid = default_oracle_grid(w)
@@ -153,16 +139,16 @@ def partial_fraction_weights(
         ]
         return _exact_pf_solve(w, qp, offsets)
 
-    if qp.is_classical:
-        matrix = 1.0 / (grid[:, None] - x[None, :])
-        rhs = np.prod(grid[:, None] - y[None, :], axis=1) / np.prod(
-            grid[:, None] - x[None, :], axis=1
-        )
-    else:
-        log_q = math.log(qp.q)
-        matrix = 1.0 / -np.expm1((grid[:, None] - x[None, :]) * log_q)
-        rhs = np.prod(-np.expm1((grid[:, None] - y[None, :]) * log_q), axis=1)
-        rhs /= np.prod(-np.expm1((grid[:, None] - x[None, :]) * log_q), axis=1)
+    bracket = qp.bracket
+    points = grid.tolist()
+    matrix = np.array([[1.0 / bracket(g - xk) for xk in w.minima] for g in points])
+    rhs = np.array(
+        [
+            math.prod(bracket(g - yj) for yj in w.maxima)
+            / math.prod(bracket(g - xk) for xk in w.minima)
+            for g in points
+        ]
+    )
 
     try:
         if grid.size == m + 1:

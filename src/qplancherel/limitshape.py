@@ -27,7 +27,7 @@ import math
 
 from scipy.optimize import brentq
 
-from .moments import MomentVector
+from .moments import MomentOverflowError, MomentVector
 from .qmeasure import QParam
 
 _BRENTQ_RTOL = 4 * math.ulp(1.0)
@@ -35,10 +35,6 @@ _BRENTQ_RTOL = 4 * math.ulp(1.0)
 
 class BracketingError(RuntimeError):
     """No admissible root in the attempted bracket."""
-
-
-class ExtractionConditioningError(RuntimeError):
-    """The grid extraction of series coefficients failed its residual check."""
 
 
 def _exp_capped(t: float) -> float:
@@ -101,88 +97,48 @@ def solve_r_omega(x: float, qp: QParam, xtol: float | None = None) -> float:
     return float(brentq(defect, lo, hi, xtol=xtol, rtol=_BRENTQ_RTOL))
 
 
+def _fsum_or_inf(terms) -> float:
+    # fsum raises once a sum of finite terms leaves the double range
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _series_by_recursion(qp: QParam, n_max: int) -> list[float]:
-    # coefficient recursion for h = z (1 + h) exp(rho^2 (1 + h))
+    # coefficient recursion for h = z (1 + h) exp(rho^2 (1 + h)); every
+    # term is positive, so a coefficient past the double range is inf
     rho2 = qp.log_inv**2
-    lead = math.exp(rho2)
+    lead = _exp_capped(rho2)
     h = [0.0] * (n_max + 1)
     exp_part = [1.0] + [0.0] * n_max  # series of exp(rho^2 h(z))
     for n in range(1, n_max + 1):
         h[n] = lead * (
             exp_part[n - 1]
-            + math.fsum(h[i] * exp_part[n - 1 - i] for i in range(1, n))
+            + _fsum_or_inf(h[i] * exp_part[n - 1 - i] for i in range(1, n))
         )
-        exp_part[n] = (
-            rho2 / n * math.fsum(j * h[j] * exp_part[n - j] for j in range(1, n + 1))
+        if math.isinf(h[n]):
+            raise MomentOverflowError(
+                f"limiting moment h_{n} at q = {qp.q} exceeds the floating-point range"
+            )
+        exp_part[n] = rho2 / n * _fsum_or_inf(
+            j * h[j] * exp_part[n - j] for j in range(1, n + 1)
         )
     return h[1:]
 
 
-def _solve_vandermonde(nodes, values) -> list[float]:
-    """Coefficients of the polynomial through (nodes, values).
-
-    Newton divided differences followed by basis conversion; accurate
-    componentwise for monotone nodes, unlike a generic linear solve.
-    """
-    a = list(values)
-    n = len(a)
-    for k in range(n - 1):
-        for i in range(n - 1, k, -1):
-            a[i] = (a[i] - a[i - 1]) / (nodes[i] - nodes[i - k - 1])
-    for k in range(n - 2, -1, -1):
-        for i in range(k, n - 1):
-            a[i] -= nodes[k] * a[i + 1]
-    return a
-
-
-def series_h_omega(
-    qp: QParam,
-    n_max: int,
-    method: str = "recursion",
-    heldout_rtol: float = 1e-7,
-) -> MomentVector:
+def series_h_omega(qp: QParam, n_max: int) -> MomentVector:
     """Limiting h-moments: coefficients of z^n in R/(1 - q) - 1, z = q^x.
 
-    ``method="recursion"`` differentiates the implicit equation order by
-    order and is exact up to rounding; it is the default because it works
-    for every q in (0, 1).  ``method="grid"`` instead samples
-    :func:`solve_r_omega` at the nodes z_j = 2^(-j-3), j = 1..n_max, and
-    solves the Vandermonde system.  The grid route carries two caveats it
-    reports honestly rather than hiding: the largest node can fall beyond
-    the branch point of the series for small q (the solver then raises
-    BracketingError), and the truncated tail of the series aliases into
-    the top fitted coefficients, so only the leading coefficients are
-    trustworthy.  A held-out node between the first two grid points must
-    reproduce to ``heldout_rtol`` or the extraction raises
-    ExtractionConditioningError.
+    Differentiates the implicit equation order by order, exact up to
+    rounding for every q in (0, 1).  A coefficient beyond the double
+    range raises MomentOverflowError.
     """
     if qp.is_classical:
         raise ValueError("the series in z = q^x requires q in (0, 1)")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if method == "recursion":
-        return MomentVector("h", tuple(_series_by_recursion(qp, n_max)))
-    if method != "grid":
-        raise ValueError(f'method must be "recursion" or "grid", got {method!r}')
-
-    rho = qp.log_inv
-    nodes = [2.0 ** -(j + 3) for j in range(1, n_max + 1)]
-    scaled = []
-    for z in nodes:
-        x = -math.log(z) / rho
-        scaled.append((solve_r_omega(x, qp) / (1.0 - qp.q) - 1.0) / z)
-    coeffs = _solve_vandermonde(nodes, scaled)
-
-    z_check = 2.0**-4.5
-    x_check = -math.log(z_check) / rho
-    reference = solve_r_omega(x_check, qp) / (1.0 - qp.q) - 1.0
-    fitted = z_check * math.fsum(c * z_check**k for k, c in enumerate(coeffs))
-    if abs(fitted - reference) > heldout_rtol * max(1.0, abs(reference)):
-        raise ExtractionConditioningError(
-            f"held-out node residual {abs(fitted - reference):.3e} "
-            f"at q = {qp.q}, order {n_max}"
-        )
-    return MomentVector("h", tuple(coeffs))
+    return MomentVector("h", tuple(_series_by_recursion(qp, n_max)))
 
 
 def automodel_residual(u: float, rho: float) -> float:

@@ -10,14 +10,15 @@ the Newton-type triangular relation
     n h_n = sum_{k=1..n} p_k h_{n-k},      h_0 = 1,
 
 equivalently h_n = sum over partitions of n of prod p_k^{r_k} /
-(k^{r_k} r_k!).  Both measures share one R-function
+(k^{r_k} r_k!).  In the q-bracket [d]_q = (1 - q^d) / (1 - q), which
+tends to d as q -> 1, both measures share one R-function
 
-    R(x; q) = (1 - q) prod_j (1 - q^(x - y_j)) / prod_k (1 - q^(x - x_k))
-            = (1 - q) sum_i w_i / (1 - q^(x - s_i)),
+    R(x; q) = prod_j [x - y_j]_q / prod_k [x - x_k]_q
+            = sum_i w_i / [x - s_i]_q,
 
-and the equality of the two expressions (product over corners versus
-sum over transition atoms) is the correspondence checked by
-:func:`markov_krein_residual`.
+for every q in (0, 1], and the equality of the two expressions (product
+over corners versus sum over transition atoms) is the Markov-Krein
+correspondence checked by :func:`markov_krein_residual`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cache
 
 from . import kernel
 from .diagrams import InterlacingDiagram, enumerate_level
-from .qmeasure import QParam, one_minus_qpow
+from .qmeasure import QParam
 
 # Below this distance to a pole of the R-function, evaluation refuses.
 _POLE_TOLERANCE = 1e-12
@@ -203,45 +204,30 @@ def h_from_p_partition_sum(p_values, n: int) -> float:
 
 
 def r_diagram(w: InterlacingDiagram, qp: QParam, x: float) -> float:
-    """R(x; q) from the corner product over ``w``.
+    """R(x; q) = prod_j [x - y_j]_q / prod_k [x - x_k]_q over the corners of ``w``.
 
-    Requires ``x`` away from the poles at the minima; at q = 1 the
-    classical product (x - y_j) / (x - x_k) is used.
+    Requires ``x`` away from the poles at the minima.
     """
-    if qp.is_classical:
-        for xk in w.minima:
-            if abs(x - xk) < _POLE_TOLERANCE:
-                raise PoleProximityError(f"x = {x} is within tolerance of pole {xk}")
-        value = 1.0
-        for i, xk in enumerate(w.minima):
-            value /= x - xk
-            if i < len(w.maxima):
-                value *= x - w.maxima[i]
-        return value
-    value = 1.0 - qp.q
+    value = 1.0
     for i, xk in enumerate(w.minima):
-        denom = one_minus_qpow(qp, x - xk)
-        if abs(denom) < _POLE_TOLERANCE:
-            raise PoleProximityError(f"x = {x} is within tolerance of pole {xk}")
-        value /= denom
+        value /= _pole_bracket(qp, x, xk)
         if i < len(w.maxima):
-            value *= one_minus_qpow(qp, x - w.maxima[i])
+            value *= qp.bracket(x - w.maxima[i])
     return value
 
 
 def r_measure(mu: DiscreteMeasure, qp: QParam, x: float) -> float:
-    """R(x; q) from the atom sum (1 - q) sum w_i / (1 - q^(x - s_i))."""
-    terms = []
-    for s, v in zip(mu.locations, mu.weights):
-        if qp.is_classical:
-            denom = x - s
-        else:
-            denom = one_minus_qpow(qp, x - s)
-        if abs(denom) < _POLE_TOLERANCE:
-            raise PoleProximityError(f"x = {x} is within tolerance of pole {s}")
-        terms.append(v / denom)
-    scale = 1.0 if qp.is_classical else 1.0 - qp.q
-    return scale * math.fsum(terms)
+    """R(x; q) from the atom sum sum_i w_i / [x - s_i]_q."""
+    return math.fsum(
+        v / _pole_bracket(qp, x, s) for s, v in zip(mu.locations, mu.weights)
+    )
+
+
+def _pole_bracket(qp: QParam, x: float, pole: float) -> float:
+    # [x - pole]_q, refused within _POLE_TOLERANCE of the pole
+    if abs(x - pole) < _POLE_TOLERANCE:
+        raise PoleProximityError(f"x = {x} is within tolerance of pole {pole}")
+    return qp.bracket(x - pole)
 
 
 def markov_krein_residual(
@@ -254,23 +240,23 @@ def markov_krein_residual(
 
     Checks both the direct equality of :func:`r_diagram` and
     :func:`r_measure` and the exp/log pairing of the atom sum with the
-    Rayleigh corner sum
+    Rayleigh corner sum (the Rayleigh measure has total mass 1)
 
-        sum_i w_i / (1 - q^(x - s_i))
-            = exp( sum tau_j ln 1/(1 - q^(x - t_j)) ).
+        sum_i w_i / [x - s_i]_q = exp( sum tau_j ln 1/[x - t_j]_q ).
+
+    The grid must lie above the support.
     """
-    if qp.is_classical:
-        raise ValueError("the correspondence check requires q in (0, 1)")
     tau = rayleigh_measure(w)
     worst = 0.0
     for x in x_grid:
-        direct = abs(r_diagram(w, qp, x) - r_measure(mu, qp, x))
-        atom_sum = r_measure(mu, qp, x) / (1.0 - qp.q)
+        atom_sum = r_measure(mu, qp, x)
         log_form = math.exp(
             -math.fsum(
-                v * math.log(one_minus_qpow(qp, x - s))
+                v * math.log(qp.bracket(x - s))
                 for s, v in zip(tau.locations, tau.weights)
             )
         )
-        worst = max(worst, direct, (1.0 - qp.q) * abs(atom_sum - log_form))
+        worst = max(
+            worst, abs(r_diagram(w, qp, x) - atom_sum), abs(atom_sum - log_form)
+        )
     return worst

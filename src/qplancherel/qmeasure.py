@@ -1,81 +1,98 @@
 """The q-deformed Plancherel measure and its harmonic function.
 
-For 0 < q < 1 write [k] = 1 - q^k.  The measure of a partition of n is
+Every formula is written in the q-bracket [d]_q = (1 - q^d) / (1 - q),
+which tends to d as q -> 1, so the classical case q = 1 is the same
+formula at its limit.  The measure of a partition of n is
 
-    M_q(lam) = (1 - q)^n * dim(lam) * q^(b(lam)) / prod_u [h(u)],
+    M_q(lam) = dim(lam) * q^(b(lam)) / prod_u [h(u)]_q,
 
 with the product over the hook lengths h(u) of lam and
-b(lam) = sum_i (i - 1) * lam_i.  At q = 1 the [k] degenerate and the
-classical Plancherel weight dim(lam)^2 / n! is used instead.  The
-measure factors as dim(lam) times the harmonic function
+b(lam) = sum_i (i - 1) * lam_i; at q = 1 it is the Plancherel weight
+dim(lam) / prod_u h(u) = dim(lam)^2 / n!.  The measure factors as
+dim(lam) times the harmonic function
 
-    phi_q(lam) = (1 - q)^n * q^(b(lam)) / prod_u [h(u)],
+    phi_q(lam) = q^(b(lam)) / prod_u [h(u)]_q,
 
 which satisfies phi_q(lam) = sum phi_q(Lam) over covers Lam of lam.
 Normalization of M_q over a level is equivalent to the hook identity
 
-    sum_{|lam| = n} q^(b(lam)) dim(lam) / prod_u [h(u)] = (1 - q)^(-n).
+    sum_{|lam| = n} q^(b(lam)) dim(lam) / prod_u (1 - q^(h(u))) = (1 - q)^(-n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagrams import Partition, enumerate_level, hook_data
-
-# Switch to log-space products once n * ln(1/q) is this large; the direct
-# product of [h] factors would drift or underflow well before exp does.
-_LOG_SPACE_THRESHOLD = 500.0
+from .diagrams import HookData, Partition, enumerate_level, hook_data
 
 
 @dataclass(frozen=True)
 class QParam:
-    """Deformation parameter q in (0, 1], with q = 1 the classical case."""
+    """Deformation parameter q in (0, 1], with q = 1 the classical case.
+
+    ``log_inv`` is ln(1/q), zero only in the classical case;
+    ``one_minus_q`` is 1 - q, derived from it so that [1]_q is exactly 1;
+    ``c`` is ln(1/q) / (1 - q), which tends to 1 as q -> 1.
+    """
 
     q: float
+    log_inv: float = field(init=False, repr=False, compare=False)
+    one_minus_q: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = float(self.q)
         object.__setattr__(self, "q", q)
         if not (0.0 < q <= 1.0) or not math.isfinite(q):
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
-
-    @property
-    def log_inv(self) -> float:
-        """ln(1/q), nonnegative, zero only in the classical case."""
-        return -math.log(self.q)
+        rho = -math.log(q)
+        one_minus_q = -math.expm1(-rho)
+        object.__setattr__(self, "log_inv", rho)
+        object.__setattr__(self, "one_minus_q", one_minus_q)
+        object.__setattr__(self, "c", rho / one_minus_q if q < 1.0 else 1.0)
 
     @property
     def is_classical(self) -> bool:
         return self.q == 1.0
 
+    def bracket(self, d: float) -> float:
+        """[d]_q = (1 - q^d) / (1 - q) for d of either sign; d at q = 1."""
+        if self.is_classical:
+            return d
+        return -math.expm1(-d * self.log_inv) / self.one_minus_q
 
-def one_minus_qpow(qp: QParam, exponent: float) -> float:
-    """1 - q^e, accurate for exponents of either sign."""
-    return -math.expm1(-exponent * qp.log_inv)
+
+def _bracket_table(n: int, qp: QParam) -> list[float]:
+    # [0]_q .. [n]_q: every hook bracket of a level-n shape
+    return [qp.bracket(h) for h in range(n + 1)]
+
+
+def _hook_weight(
+    data: HookData, qp: QParam, table: list[float], factor: int = 1
+) -> float:
+    # factor * q^b / prod [h]_q.  Every [h]_q is at least 1, so the
+    # running quotient only falls: while it ends in the normal range the
+    # direct product is accurate to rounding, and below it the same
+    # product is taken in log space, where ``factor`` can lift it back.
+    value = qp.q**data.b_stat
+    for h in data.hooks:
+        value /= table[h]
+    if value >= sys.float_info.min:
+        return factor * value
+    return math.exp(
+        math.log(factor)
+        - data.b_stat * qp.log_inv
+        - math.fsum(math.log(table[h]) for h in data.hooks)
+    )
 
 
 def q_measure(partition: Partition, qp: QParam) -> float:
     """Probability of ``partition`` under the level-n deformed measure."""
-    n = partition.size
     data = hook_data(partition)
-    if qp.is_classical:
-        return data.dim * data.dim / math.factorial(n)
-    q = qp.q
-    if n * qp.log_inv > _LOG_SPACE_THRESHOLD:
-        log_val = (
-            n * math.log1p(-q)
-            + math.log(data.dim)
-            + data.b_stat * math.log(q)
-            - sum(math.log(-math.expm1(h * math.log(q))) for h in data.hooks)
-        )
-        return math.exp(log_val)
-    value = data.dim * q**data.b_stat * (1.0 - q) ** n
-    for h in data.hooks:
-        value /= 1.0 - q**h
-    return value
+    return _hook_weight(data, qp, _bracket_table(partition.size, qp), data.dim)
 
 
 def q_measure_exact(partition: Partition, q: Fraction) -> Fraction:
@@ -98,36 +115,21 @@ def harmonic(partition: Partition, qp: QParam) -> float:
     """
     if qp.is_classical:
         raise ValueError("harmonic function requires q in (0, 1)")
-    n = partition.size
-    data = hook_data(partition)
-    q = qp.q
-    if n * qp.log_inv > _LOG_SPACE_THRESHOLD:
-        log_val = (
-            n * math.log1p(-q)
-            + data.b_stat * math.log(q)
-            - sum(math.log(-math.expm1(h * math.log(q))) for h in data.hooks)
-        )
-        return math.exp(log_val)
-    value = q**data.b_stat * (1.0 - q) ** n
-    for h in data.hooks:
-        value /= 1.0 - q**h
-    return value
+    return _hook_weight(hook_data(partition), qp, _bracket_table(partition.size, qp))
 
 
 def hook_identity_residual(n: int, qp: QParam) -> float:
-    """sum_{|lam|=n} q^b(lam) dim(lam) / prod [h] minus (1 - q)^(-n).
+    """sum_{|lam|=n} q^b(lam) dim(lam) / prod (1 - q^h) minus (1 - q)^(-n).
 
     Vanishes identically in exact arithmetic; callers compare the
-    returned difference against (1 - q)^(-n) for a relative check.
+    returned difference against (1 - q)^(-n) for a relative check.  The
+    sum is taken as (1 - q)^(-n) times the level's total measure.
     """
     if qp.is_classical:
         raise ValueError("hook identity requires q in (0, 1)")
-    q = qp.q
-    terms = []
-    for lam in enumerate_level(n):
-        data = hook_data(lam)
-        value = data.dim * q**data.b_stat
-        for h in data.hooks:
-            value /= 1.0 - q**h
-        terms.append(value)
-    return math.fsum(terms) - (1.0 - q) ** (-n)
+    table = _bracket_table(n, qp)
+    total = math.fsum(
+        _hook_weight(data, qp, table, data.dim)
+        for data in map(hook_data, enumerate_level(n))
+    )
+    return (total - 1.0) * qp.one_minus_q**-n

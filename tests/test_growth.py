@@ -13,6 +13,7 @@ from qplancherel.diagrams import Partition, from_interlacing, to_interlacing
 from qplancherel.growth import (
     _INITIAL_WIDTH,
     DeformationError,
+    McReport,
     _LockstepWalk,
     deform,
     deformed_r,
@@ -21,7 +22,12 @@ from qplancherel.growth import (
     pde_residual,
     simulate_rescaled,
 )
-from qplancherel.moments import r_diagram, r_measure, transition_measure
+from qplancherel.moments import (
+    MomentOverflowError,
+    r_diagram,
+    r_measure,
+    transition_measure,
+)
 from qplancherel.qmeasure import QParam
 
 from conftest import random_partitions
@@ -361,6 +367,13 @@ class TestSimulateRescaled:
         with pytest.raises(ValueError):
             simulate_rescaled(5, QParam(0.5), 0, 1, 0)
 
+    def test_moment_beyond_double_range_raises(self):
+        # q^(-2 x) at the last minimum is past exp(700) here; p_1 is not
+        with pytest.raises(MomentOverflowError, match="p_2 .* q = 1e-30"):
+            simulate_rescaled(100, QParam(1e-30), 2, 2, 0)
+        (sample,) = simulate_rescaled(100, QParam(1e-30), 1, 1, 0)
+        assert math.isfinite(sample.moments[0])
+
 
 class TestMcLimitExperiment:
     def test_report_is_reproducible(self):
@@ -374,6 +387,24 @@ class TestMcLimitExperiment:
         report = mc_limit_experiment(30, QParam(0.5), 1, 2, seed=3)
         assert report.stderrs == (0.0, 0.0)
         assert all(math.isinf(z) or z == 0.0 for z in report.z_scores())
+
+    def test_rounding_floor_stderr_gives_infinite_z(self):
+        # near q = 1 every trajectory's moments agree to rounding: a
+        # standard error of about 3 ulp carries no sampling information
+        mean = 1.0000000000009994
+        report = McReport(
+            n_boxes=400,
+            q=0.999999,
+            trials=32,
+            n_moments=2,
+            seed=0,
+            means=(mean, 2.0),
+            stderrs=(3 * math.ulp(mean), 0.5),
+            targets=(1.000000000001, 2.5),
+        )
+        z = report.z_scores()
+        assert math.isinf(z[0])
+        assert z[1] == pytest.approx(-1.0)
 
     def test_moderate_run_is_consistent(self):
         # small n has an O(n^{-1/2}) bias, so allow a generous band;

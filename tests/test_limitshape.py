@@ -7,14 +7,13 @@ import pytest
 from qplancherel.dynamics import limit_moments
 from qplancherel.limitshape import (
     BracketingError,
-    ExtractionConditioningError,
     automodel_pde_residual,
     automodel_residual,
     classical_r,
     series_h_omega,
     solve_r_omega,
 )
-from qplancherel.moments import p_to_h
+from qplancherel.moments import MomentOverflowError, p_to_h
 from qplancherel.qmeasure import QParam
 
 
@@ -113,35 +112,19 @@ class TestSeriesHOmega:
         for v in h.values:
             assert v == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("q", [0.5, 0.7])
-    def test_grid_extraction_cross_check(self, q):
-        # leading coefficients of the grid route agree with the
-        # recursion; the tail is known to alias and is not compared
-        qp = QParam(q)
-        grid = series_h_omega(qp, 8, method="grid")
-        exact = series_h_omega(qp, 8)
-        for a, b in zip(grid.values[:3], exact.values[:3]):
-            assert a == pytest.approx(b, rel=5e-7)
-
-    def test_grid_flags_underresolved_order(self):
-        # at low order the truncated tail pollutes the fit and the
-        # held-out node catches it
-        with pytest.raises(ExtractionConditioningError):
-            series_h_omega(QParam(0.5), 4, method="grid")
-
-    def test_grid_node_beyond_branch_point(self):
-        # at q = 0.3 the largest node z = 1/16 lies beyond the branch
-        # point of the series and the solver has no root there
-        with pytest.raises(BracketingError):
-            series_h_omega(QParam(0.3), 6, method="grid")
+    def test_overflow_raises(self):
+        # h_8 at q = 1e-4 is beyond the double range; h_7 is not
+        assert math.isfinite(series_h_omega(QParam(1e-4), 7).values[-1])
+        with pytest.raises(MomentOverflowError, match="h_8 at q = 0.0001"):
+            series_h_omega(QParam(1e-4), 8)
+        with pytest.raises(MomentOverflowError, match="h_1 at q"):
+            series_h_omega(QParam(1e-14), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             series_h_omega(QParam(1.0), 3)
         with pytest.raises(ValueError):
             series_h_omega(QParam(0.5), 0)
-        with pytest.raises(ValueError):
-            series_h_omega(QParam(0.5), 3, method="newton")
 
 
 def catalan_numbers(count):

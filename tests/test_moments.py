@@ -130,7 +130,7 @@ def test_generating_identity_rectangles():
 
 
 @settings(max_examples=30)
-@given(partitions(max_boxes=12), st.sampled_from([0.4, 0.7]))
+@given(partitions(max_boxes=12), st.sampled_from([0.4, 0.7, 1.0]))
 def test_markov_krein_residual_small(lam, q):
     qp = QParam(q)
     w = to_interlacing(lam)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qplancherel import (
     harmonic,
     hook_data,
     hook_identity_residual,
+    max_level,
     q_measure,
     q_measure_exact,
 )
@@ -99,8 +101,7 @@ def test_classical_limit_symmetric_shape_is_second_order():
 
 
 def test_log_space_branch_matches_exact():
-    # deep in the log-space branch: n * ln(1/q) is far above the
-    # threshold (30 * ln(1e12) is about 830)
+    # small q and a sizable shape (30 boxes, q^b = 1e-240)
     lam = Partition((15, 10, 5))
     q = 1e-12
     value = q_measure(lam, QParam(q))
@@ -120,3 +121,55 @@ def test_measure_positive():
     qp = QParam(0.37)
     for lam in enumerate_level(8):
         assert q_measure(lam, qp) > 0.0
+
+
+def test_qparam_bracket():
+    qp = QParam(0.5)
+    assert qp.bracket(1) == 1.0
+    assert qp.bracket(3) == pytest.approx(1.75, rel=1e-15)
+    assert qp.bracket(-2) == pytest.approx(-6.0, rel=1e-15)
+    assert qp.c == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    classical = QParam(1.0)
+    assert classical.bracket(3) == 3
+    assert classical.bracket(-2.5) == -2.5
+    assert classical.c == 1.0
+    # exactly one at d = 1 even where 1 - q is a few ulp
+    assert QParam(1.0 - 2.0**-52).bracket(1) == 1.0
+
+
+def test_log_space_branch_below_normal_range():
+    # q^b / prod [h]_q is 1e-315, below the normal range, while the
+    # measure dim * 1e-315 is a normal double
+    lam = Partition((15, 10, 5))
+    q = 10.0**-15.75
+    assert harmonic(lam, QParam(q)) < sys.float_info.min
+    exact = float(q_measure_exact(lam, Fraction(q)))
+    assert exact > sys.float_info.min
+    assert q_measure(lam, QParam(q)) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "parts,q,expected",
+    [((50, 50), 1.0 - 1e-6, 4.198e-104), ((1,) * 120, 0.999, 4.1005e-201)],
+)
+def test_no_underflow_near_classical(monkeypatch, parts, q, expected):
+    # (1 - q)^n alone underflows here; the bracket form does not
+    monkeypatch.setenv("QPL_MAX_N", "200")
+    lam = Partition(parts)
+    exact = float(q_measure_exact(lam, Fraction(q)))
+    assert exact == pytest.approx(expected, rel=1e-4)
+    assert q_measure(lam, QParam(q)) == pytest.approx(exact, rel=1e-13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    partitions(min_boxes=1, max_boxes=max_level()),
+    st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+)
+def test_float_measure_matches_exact(lam, q):
+    # below the normal range a double resolves only absolute steps, so
+    # the relative bound is taken against the smallest normal there
+    exact = float(q_measure_exact(lam, Fraction(q)))
+    assert q_measure(lam, QParam(q)) == pytest.approx(
+        exact, rel=1e-12, abs=1e-12 * sys.float_info.min
+    )
