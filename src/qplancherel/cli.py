@@ -15,20 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from . import dynamics, growth, kernel, limitshape, moments, qmeasure, rsk
-from .diagrams import (
-    CapacityError,
-    Partition,
-    enumerate_level,
-    max_level,
-    to_interlacing,
-)
+from . import checks, dynamics, growth, limitshape, moments, qmeasure, rsk
+from .diagrams import CapacityError, max_level
 from .qmeasure import QParam
 
 SCHEMA = "qplancherel/1"
@@ -73,6 +64,8 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key, value in self.tolerances.items():
+            if key not in _TOLERANCE_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
             if value <= 0:
                 raise ConfigError(f"tolerance {key} must be positive, got {value}")
 
@@ -96,6 +89,7 @@ _INT_KEYS = {"n", "trials", "moments", "seed"}
 _FLOAT_KEYS = {"q"}
 _STR_KEYS = {"format", "out"}
 _IGNORED_KEYS = {"schema", "command"}
+_TOLERANCE_KEYS = {f"tol_{name}" for name in checks.CHECKS}
 
 
 def parse_config_file(path: str) -> dict:
@@ -201,118 +195,12 @@ class SuiteResult:
     passed: bool
 
 
-def _suite_hook_identity(tol: float) -> SuiteResult:
-    worst = 0.0
-    for q in (0.1, 0.5, 0.9, 0.99):
-        qp = QParam(q)
-        for n in range(1, 17):
-            rel = abs(qmeasure.hook_identity_residual(n, qp)) * (1.0 - q) ** n
-            worst = max(worst, rel)
-    return SuiteResult("hook_identity", worst, tol, worst < tol)
-
-
-def _random_partitions(count: int, max_boxes: int, seed: int) -> list[Partition]:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(1, max_boxes + 1))
-        level = enumerate_level(n)
-        out.append(level[int(rng.integers(0, len(level)))])
-    return out
-
-
-def _suite_kernel_oracle(tol: float) -> SuiteResult:
-    worst = 0.0
-    shapes = _random_partitions(40, 20, seed=2024)
-    for qv in (0.3, 0.7, 0.95, 1.0):
-        qp = QParam(qv)
-        for shape in shapes:
-            w = to_interlacing(shape)
-            product = kernel.transition_weights(w, qp)
-            solved = kernel.partial_fraction_weights(w, qp)
-            worst = max(
-                worst, max(abs(a - b) for a, b in zip(product, solved))
-            )
-    return SuiteResult("kernel_oracle", worst, tol, worst < tol)
-
-
-def _suite_pushforward(tol: float) -> SuiteResult:
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        qp = QParam(q)
-        for n in range(1, 7):
-            probs = rsk.pushforward_exact(n, q)
-            tv = 0.5 * math.fsum(
-                abs(probs[shape] - qmeasure.q_measure(shape, qp))
-                for shape in probs
-            )
-            worst = max(worst, tv)
-    return SuiteResult("pushforward", worst, tol, worst < tol)
-
-
-def _suite_markov_krein(tol: float) -> SuiteResult:
-    worst = 0.0
-    qp = QParam(0.5)
-    for shape in _random_partitions(30, 12, seed=515):
-        w = to_interlacing(shape)
-        mu = moments.transition_measure(w, qp)
-        grid = [w.support_max + 1.5 + j for j in range(4)]
-        worst = max(worst, moments.markov_krein_residual(w, mu, qp, grid))
-    return SuiteResult("markov_krein", worst, tol, worst < tol)
-
-
-def _suite_ode_closed_forms(tol: float) -> SuiteResult:
-    worst = 0.0
-    y0 = (1.0, 1.0, 1.0, 1.0)
-    for sigma in (0.25, 0.5, 1.0, 1.5, 2.0):
-        state = dynamics.integrate_moments(y0, sigma, steps=1000)
-        for n in range(1, 5):
-            exact = dynamics.closed_form(n, sigma, y0)
-            worst = max(worst, abs(state.y[n - 1] - exact) / abs(exact))
-    return SuiteResult("ode_closed_forms", worst, tol, worst < tol)
-
-
-def _suite_limit_moments(tol: float) -> SuiteResult:
-    worst = 0.0
-    for q in (0.3, 0.5, 0.7):
-        qp = QParam(q)
-        series = limitshape.series_h_omega(qp, 6)
-        from_flow = moments.p_to_h(dynamics.limit_moments(qp, 6))
-        for n in range(1, 7):
-            rel = abs(series.moment(n) - from_flow.moment(n)) / abs(
-                from_flow.moment(n)
-            )
-            worst = max(worst, rel)
-    return SuiteResult("limit_moments", worst, tol, worst < tol)
-
-
-def _suite_pde_residual(tol: float) -> SuiteResult:
-    worst = 0.0
-    for qv in (0.5, 0.8):
-        qp = QParam(qv)
-        for shape in _random_partitions(15, 15, seed=77):
-            w = to_interlacing(shape)
-            x = w.support_max + 2.0
-            worst = max(worst, growth.pde_residual(w, qp, x, dt=1e-6, dx=1e-5))
-    return SuiteResult("pde_residual", worst, tol, worst < tol)
-
-
-_SUITES = {
-    "hook_identity": (_suite_hook_identity, 1e-9),
-    "kernel_oracle": (_suite_kernel_oracle, 1e-9),
-    "pushforward": (_suite_pushforward, 1e-12),
-    "markov_krein": (_suite_markov_krein, 1e-10),
-    "ode_closed_forms": (_suite_ode_closed_forms, 1e-7),
-    "limit_moments": (_suite_limit_moments, 1e-6),
-    "pde_residual": (_suite_pde_residual, 1e-5),
-}
-
-
 def run_verify(config: RunConfig) -> int:
     results = []
-    for name, (runner, default_tol) in _SUITES.items():
+    for name, (check, default_tol) in checks.CHECKS.items():
         tol = config.tolerances.get(f"tol_{name}", default_tol)
-        results.append(runner(tol))
+        worst = check()
+        results.append(SuiteResult(name, worst, tol, worst < tol))
     passed = all(r.passed for r in results)
 
     if config.format == "json":

@@ -149,9 +149,7 @@ def automodel_residual(u: float, rho: float) -> float:
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    q_param = QParam(math.exp(-rho))
-    big_r = solve_r_omega(u, q_param)
-    r = rho * big_r / (1.0 - q_param.q)
+    r = _r_scaled(u, rho)
     return abs(r * -math.expm1(-rho * (u - r)) - rho)
 
 

@@ -29,7 +29,7 @@ from functools import cache
 
 from . import kernel
 from .diagrams import InterlacingDiagram, enumerate_level
-from .qmeasure import QParam
+from .qmeasure import MomentOverflowError, QParam
 
 # Below this distance to a pole of the R-function, evaluation refuses.
 _POLE_TOLERANCE = 1e-12
@@ -39,10 +39,6 @@ _EXP_GUARD = 700.0
 
 class PoleProximityError(ValueError):
     """Evaluation point too close to a pole of the R-function."""
-
-
-class MomentOverflowError(OverflowError):
-    """A requested q-moment exceeds the floating-point range."""
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ from fractions import Fraction
 from .diagrams import HookData, Partition, enumerate_level, hook_data
 
 
+class MomentOverflowError(OverflowError):
+    """A requested q-moment or normalisation exceeds the floating-point range."""
+
+
 @dataclass(frozen=True)
 class QParam:
     """Deformation parameter q in (0, 1], with q = 1 the classical case.
@@ -123,13 +127,20 @@ def hook_identity_residual(n: int, qp: QParam) -> float:
 
     Vanishes identically in exact arithmetic; callers compare the
     returned difference against (1 - q)^(-n) for a relative check.  The
-    sum is taken as (1 - q)^(-n) times the level's total measure.
+    sum is taken as (1 - q)^(-n) times the level's total measure; where
+    (1 - q)^(-n) leaves the double range this raises MomentOverflowError.
     """
     if qp.is_classical:
         raise ValueError("hook identity requires q in (0, 1)")
+    try:
+        scale = qp.one_minus_q**-n
+    except OverflowError:
+        raise MomentOverflowError(
+            f"(1 - q)^(-{n}) at q = {qp.q} exceeds the floating-point range"
+        ) from None
     table = _bracket_table(n, qp)
     total = math.fsum(
         _hook_weight(data, qp, table, data.dim)
         for data in map(hook_data, enumerate_level(n))
     )
-    return (total - 1.0) * qp.one_minus_q**-n
+    return (total - 1.0) * scale

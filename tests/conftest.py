@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import strategies as st
 
-from qplancherel import Partition, enumerate_level
+from qplancherel import Partition
+from qplancherel.checks import random_partitions  # noqa: F401 (shared with the test modules)
 
 
 @st.composite
@@ -19,14 +19,3 @@ def partitions(draw, min_boxes: int = 0, max_boxes: int = 16):
         bound = part
         remaining -= part
     return Partition(tuple(parts))
-
-
-def random_partitions(count: int, max_boxes: int, seed: int) -> list[Partition]:
-    """Deterministic sample of partitions, one uniform level index each."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(1, max_boxes + 1))
-        level = enumerate_level(n)
-        out.append(level[int(rng.integers(0, len(level)))])
-    return out

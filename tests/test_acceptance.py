@@ -5,7 +5,9 @@ Each test prints a single machine-greppable line
     acceptance <k> <name>: PASS|FAIL <measurements>
 
 outside pytest's capture, then asserts.  Criteria with a stated runtime
-budget measure and enforce it.
+budget measure and enforce it.  Criteria 1-7 run the checks of
+``qplancherel verify`` (``qplancherel.checks``) on larger inputs, under
+the same tolerances.
 """
 
 from __future__ import annotations
@@ -18,29 +20,18 @@ import pytest
 from qplancherel import (
     QParam,
     classical_r,
-    closed_form,
     h_moments,
-    hook_identity_residual,
-    integrate_moments,
-    limit_moments,
-    markov_krein_residual,
     mc_limit_experiment,
     p_moments,
     p_to_h,
-    partial_fraction_weights,
     pde_residual,
     polynomial_structure_residual,
-    pushforward_exact,
-    q_measure,
-    series_h_omega,
     simulate_rescaled,
     solve_r_omega,
     to_interlacing,
     transition_measure,
-    transition_weights,
 )
-
-from conftest import random_partitions
+from qplancherel.checks import CHECKS, random_partitions
 
 
 @pytest.fixture
@@ -56,162 +47,128 @@ def finish(capsys):
     return _finish
 
 
+def run_check(name: str, **inputs) -> tuple[float, float, float]:
+    """The check's worst error on ``inputs``, its tolerance, and seconds taken."""
+    check, tol = CHECKS[name]
+    t0 = time.perf_counter()
+    worst = check(**inputs)
+    return worst, tol, time.perf_counter() - t0
+
+
 def test_criterion_1_hook_identity(finish):
     # sum over |lam| = n of q^b dim / prod [h] equals (1-q)^(-n)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for q in (0.1, 0.5, 0.9, 0.99):
-        qp = QParam(q)
-        for n in range(1, 21):
-            rel = abs(hook_identity_residual(n, qp)) * (1.0 - q) ** n
-            worst = max(worst, rel)
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
+    worst, tol, elapsed = run_check("hook_identity", qs=(0.1, 0.5, 0.9, 0.99), top=20)
+    ok = worst < tol and elapsed < 10.0
     finish(
         1,
         "hook identity",
         ok,
-        f"worst_rel={worst:.3e} tol=1e-09 elapsed={elapsed:.2f}s budget=10s",
+        f"worst_rel={worst:.3e} tol={tol:.0e} elapsed={elapsed:.2f}s budget=10s",
     )
 
 
 def test_criterion_2_kernel_oracle(finish):
     # product-formula weights vs partial-fraction solve on 200 shapes
     shapes = random_partitions(200, max_boxes=25, seed=20240)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for q in (0.3, 0.7, 0.95, 1.0):
-        qp = QParam(q)
-        for lam in shapes:
-            w = to_interlacing(lam)
-            product = transition_weights(w, qp)
-            solved = partial_fraction_weights(w, qp)
-            worst = max(
-                worst, max(abs(a - b) for a, b in zip(product, solved))
-            )
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-9 and elapsed < 5.0
+    worst, tol, elapsed = run_check(
+        "kernel_oracle", qs=(0.3, 0.7, 0.95, 1.0), shapes=shapes
+    )
+    ok = worst < tol and elapsed < 5.0
     finish(
         2,
         "kernel oracle equivalence",
         ok,
-        f"worst_abs={worst:.3e} tol=1e-09 elapsed={elapsed:.2f}s budget=5s",
+        f"worst_abs={worst:.3e} tol={tol:.0e} elapsed={elapsed:.2f}s budget=5s",
     )
 
 
 def test_criterion_3_pushforward(finish):
     # total variation between the biased shape law and the measure
-    t0 = time.perf_counter()
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        qp = QParam(q)
-        for n in range(1, 9):
-            probs = pushforward_exact(n, q)
-            tv = 0.5 * math.fsum(
-                abs(prob - q_measure(shape, qp))
-                for shape, prob in probs.items()
-            )
-            worst = max(worst, tv)
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-12 and elapsed < 60.0
+    worst, tol, elapsed = run_check("pushforward", qs=(0.2, 0.5, 0.8), top=8)
+    ok = worst < tol and elapsed < 60.0
     finish(
         3,
         "pushforward agreement",
         ok,
-        f"worst_tv={worst:.3e} tol=1e-12 elapsed={elapsed:.2f}s budget=60s",
+        f"worst_tv={worst:.3e} tol={tol:.0e} elapsed={elapsed:.2f}s budget=60s",
     )
 
 
 def test_criterion_4_markov_krein(finish):
     # two-route R-function equality and the h = p_to_h(p) identity
+    qs = (0.3, 0.6, 0.9)
     shapes = random_partitions(100, max_boxes=15, seed=41)
-    worst_r = 0.0
+    worst_r, tol_r, _ = run_check("markov_krein", qs=qs, shapes=shapes)
     worst_h = 0.0
-    for q in (0.3, 0.6, 0.9):
+    for q in qs:
         qp = QParam(q)
         for lam in shapes:
             w = to_interlacing(lam)
-            mu = transition_measure(w, qp)
-            grid = [w.support_max + 1.5 + j for j in range(4)]
-            worst_r = max(worst_r, markov_krein_residual(w, mu, qp, grid))
-            direct = h_moments(mu, qp, 10)
+            direct = h_moments(transition_measure(w, qp), qp, 10)
             routed = p_to_h(p_moments(w, qp, 10))
             for a, b in zip(direct.values, routed.values):
                 worst_h = max(worst_h, abs(a - b) / max(1.0, abs(b)))
-    ok = worst_r < 1e-10 and worst_h < 1e-9
+    ok = worst_r < tol_r and worst_h < 1e-9
     finish(
         4,
         "moment correspondence",
         ok,
-        f"worst_r={worst_r:.3e} tol_r=1e-10 worst_h={worst_h:.3e} tol_h=1e-09",
+        f"worst_r={worst_r:.3e} tol_r={tol_r:.0e} worst_h={worst_h:.3e} tol_h=1e-09",
     )
 
 
 def test_criterion_5_ode_closed_forms(finish):
     # integrator vs printed solutions, then the degree-(n-1) structure
-    y0 = (1.0, 1.0, 1.0, 1.0)
-    worst_rel = 0.0
-    for sigma in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
-        state = integrate_moments(y0, sigma, steps=1000)
-        for n in range(1, 5):
-            exact = closed_form(n, sigma, y0)
-            worst_rel = max(worst_rel, abs(state.y[n - 1] - exact) / abs(exact))
+    sigmas = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+    worst_rel, tol, _ = run_check("ode_closed_forms", sigmas=sigmas)
     worst_fit = max(polynomial_structure_residual(n) for n in range(1, 7))
-    ok = worst_rel < 1e-7 and worst_fit < 1e-8
+    ok = worst_rel < tol and worst_fit < 1e-8
     finish(
         5,
         "moment flow closed forms",
         ok,
-        f"worst_rel={worst_rel:.3e} tol=1e-07 structure_fit={worst_fit:.3e} tol=1e-08",
+        f"worst_rel={worst_rel:.3e} tol={tol:.0e} structure_fit={worst_fit:.3e} tol=1e-08",
     )
 
 
 def test_criterion_6_limit_shape_moments(finish):
     # series coefficients vs integrated flow, and the classical limit
-    worst = 0.0
-    for q in (0.3, 0.5, 0.7):
-        qp = QParam(q)
-        series = series_h_omega(qp, 6)
-        flow = p_to_h(limit_moments(qp, 6))
-        for a, b in zip(series.values, flow.values):
-            worst = max(worst, abs(a - b) / abs(b))
+    worst, tol, _ = run_check("limit_moments", qs=(0.3, 0.5, 0.7))
     orders = []
     for x in (2.2, 2.6, 3.0, 4.0, 5.0, 7.0, 10.0):
         target = classical_r(x)
         e1 = abs(solve_r_omega(x, QParam(1.0 - 1e-4)) - target)
         e2 = abs(solve_r_omega(x, QParam(1.0 - 5e-5)) - target)
         orders.append(math.log2(e1 / e2))
-    ok = worst < 1e-6 and all(0.9 < order < 1.1 for order in orders)
+    ok = worst < tol and all(0.9 < order < 1.1 for order in orders)
     finish(
         6,
         "limit-shape moment agreement",
         ok,
-        f"worst_rel={worst:.3e} tol=1e-06 "
+        f"worst_rel={worst:.3e} tol={tol:.0e} "
         f"classical_order=[{min(orders):.3f},{max(orders):.3f}] want~1",
     )
 
 
 def test_criterion_7_growth_pde(finish):
     # finite-difference defect of the conservation law, plus its order
-    worst = 0.0
-    for q, seed in ((0.5, 7), (0.8, 8)):
-        qp = QParam(q)
-        for lam in random_partitions(25, max_boxes=15, seed=seed):
-            w = to_interlacing(lam)
-            x = w.support_max + 2.0
-            worst = max(worst, pde_residual(w, qp, x, dt=1e-5, dx=1e-5))
+    cases = [
+        (q, random_partitions(25, max_boxes=15, seed=seed))
+        for q, seed in ((0.5, 7), (0.8, 8))
+    ]
+    worst, tol, _ = run_check("pde_residual", cases=cases, dt=1e-5, dx=1e-5)
     qp = QParam(0.5)
     w = to_interlacing(random_partitions(1, max_boxes=10, seed=3)[0])
     x = w.support_max + 2.0
     coarse = pde_residual(w, qp, x, dt=2e-3, dx=2e-3)
     fine = pde_residual(w, qp, x, dt=1e-3, dx=1e-3)
     order = math.log2(coarse / fine)
-    ok = worst < 1e-5 and 1.7 <= order <= 2.3
+    ok = worst < tol and 1.7 <= order <= 2.3
     finish(
         7,
         "infinitesimal growth equation",
         ok,
-        f"worst_residual={worst:.3e} tol=1e-05 order={order:.2f} want=[1.7,2.3]",
+        f"worst_residual={worst:.3e} tol={tol:.0e} order={order:.2f} want=[1.7,2.3]",
     )
 
 

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from qplancherel import cli
+from qplancherel import checks, cli, dynamics, growth, kernel, limitshape
+from qplancherel import moments, qmeasure
 from qplancherel.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
@@ -17,6 +18,7 @@ from qplancherel.cli import (
     parse_config_file,
 )
 from qplancherel.dynamics import limit_moments
+from qplancherel.moments import MomentVector
 from qplancherel.qmeasure import QParam
 
 
@@ -65,6 +67,12 @@ class TestConfigFile:
         path.write_text("qq=0.5\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_file(str(path))
+
+    def test_misspelt_tolerance_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "typo.conf"
+        path.write_text("tol_hook_identiy=1e-30\n")
+        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+        assert "unknown config key 'tol_hook_identiy'" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -152,9 +160,49 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "qplancherel/1"
         assert payload["passed"] is True
-        assert len(payload["suites"]) >= 7
-        names = {suite["name"] for suite in payload["suites"]}
-        assert {"hook_identity", "kernel_oracle", "pushforward"} <= names
+        assert [(s["name"], s["tolerance"]) for s in payload["suites"]] == [
+            (name, tol) for name, (_, tol) in checks.CHECKS.items()
+        ]
+
+    @pytest.mark.parametrize(
+        "suite, module, attr",
+        [
+            ("kernel_oracle", kernel, "partial_fraction_weights"),
+            ("pushforward", qmeasure, "q_measure"),
+            ("markov_krein", moments, "r_measure"),
+            ("ode_closed_forms", dynamics, "closed_form"),
+            ("limit_moments", limitshape, "series_h_omega"),
+            ("pde_residual", growth, "deformed_r"),
+        ],
+    )
+    def test_corrupted_route_fails_its_suite(
+        self, monkeypatch, capsys, suite, module, attr
+    ):
+        # one route of the suite off by ten times its tolerance, relative;
+        # a check that compared a route with itself would still pass
+        factor = 1.0 + 10.0 * checks.CHECKS[suite][1]
+
+        def corrupted(*args, route=getattr(module, attr), **kwargs):
+            value = route(*args, **kwargs)
+            if isinstance(value, MomentVector):
+                return MomentVector(value.kind, [v * factor for v in value.values])
+            if isinstance(value, tuple):
+                return [v * factor for v in value]
+            return value * factor
+
+        monkeypatch.setattr(module, attr, corrupted)
+        assert main(["verify"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert f"verify: FAIL {suite}" in captured.err
+        rows = [row.split(",") for row in captured.out.splitlines()]
+        assert [row[0] for row in rows if row[-1] == "false"] == [suite]
+
+    def test_nan_route_fails_its_suite(self, monkeypatch, capsys):
+        # max() keeps its running value against a NaN; the check must not
+        nan_route = lambda w, qp: [math.nan] * len(w.minima)  # noqa: E731
+        monkeypatch.setattr(kernel, "partial_fraction_weights", nan_route)
+        assert main(["verify"]) == EXIT_CHECK_FAILED
+        assert "verify: FAIL kernel_oracle" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -19,6 +19,8 @@ from qplancherel import (
     q_measure,
     q_measure_exact,
 )
+from qplancherel import checks, moments
+from qplancherel.qmeasure import MomentOverflowError
 
 from conftest import partitions
 
@@ -111,10 +113,14 @@ def test_log_space_branch_matches_exact():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
 def test_hook_identity(q):
-    qp = QParam(q)
-    for n in range(1, 17):
-        residual = hook_identity_residual(n, qp)
-        assert abs(residual) * (1.0 - q) ** n < 1e-12
+    assert checks.hook_identity(qs=(q,), top=16) < 1e-12
+
+
+def test_hook_identity_scale_overflow_is_typed():
+    # (1 - q)^(-40) at q = 1 - 1e-9 is 1e360, beyond the double range
+    with pytest.raises(MomentOverflowError, match="floating-point range"):
+        hook_identity_residual(40, QParam(1 - 1e-9))
+    assert moments.MomentOverflowError is MomentOverflowError
 
 
 def test_measure_positive():
