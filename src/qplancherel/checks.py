@@ -37,22 +37,22 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / abs(b)
 
 
-def hook_identity(qs=(0.1, 0.5, 0.9, 0.99), top: int = 16) -> float:
+def hook_identity(top: int = 16) -> float:
     """Worst |hook_identity_residual| (1 - q)^n over levels 1..top."""
     return _worst(
         abs(qmeasure.hook_identity_residual(n, qp)) * (1.0 - qp.q) ** n
-        for qp in map(QParam, qs)
+        for qp in map(QParam, (0.1, 0.5, 0.9, 0.99))
         for n in range(1, top + 1)
     )
 
 
-def kernel_oracle(qs=(0.3, 0.7, 0.95, 1.0), shapes=None) -> float:
+def kernel_oracle(shapes=None) -> float:
     """Worst weight gap between the product formula and the partial-fraction solve."""
     if shapes is None:
         shapes = random_partitions(40, 20, seed=2024)
     return _worst(
         abs(a - b)
-        for qp in map(QParam, qs)
+        for qp in map(QParam, (0.3, 0.7, 0.95, 1.0))
         for w in map(to_interlacing, shapes)
         for a, b in zip(
             kernel.transition_weights(w, qp), kernel.partial_fraction_weights(w, qp)
@@ -60,7 +60,7 @@ def kernel_oracle(qs=(0.3, 0.7, 0.95, 1.0), shapes=None) -> float:
     )
 
 
-def pushforward(qs=(0.2, 0.5, 0.8), top: int = 6) -> float:
+def pushforward(top: int = 6) -> float:
     """Worst total variation between the RSK push-forward and the measure."""
     return _worst(
         0.5
@@ -68,7 +68,7 @@ def pushforward(qs=(0.2, 0.5, 0.8), top: int = 6) -> float:
             abs(prob - qmeasure.q_measure(shape, qp))
             for shape, prob in rsk.pushforward_exact(n, qp.q).items()
         )
-        for qp in map(QParam, qs)
+        for qp in map(QParam, (0.2, 0.5, 0.8))
         for n in range(1, top + 1)
     )
 
@@ -99,11 +99,11 @@ def ode_closed_forms(sigmas=(0.25, 0.5, 1.0, 1.5, 2.0)) -> float:
     )
 
 
-def limit_moments(qs=(0.3, 0.5, 0.7)) -> float:
+def limit_moments() -> float:
     """Worst relative gap between the series and the flow's limiting h_1..h_6."""
     return _worst(
         _rel_gap(a, b)
-        for qp in map(QParam, qs)
+        for qp in map(QParam, (0.3, 0.5, 0.7))
         for a, b in zip(
             limitshape.series_h_omega(qp, 6).values,
             moments.p_to_h(dynamics.limit_moments(qp, 6)).values,
@@ -111,13 +111,13 @@ def limit_moments(qs=(0.3, 0.5, 0.7)) -> float:
     )
 
 
-def pde_residual(cases=None, dt: float = 1e-6, dx: float = 1e-5) -> float:
+def pde_residual(cases=None, dt: float = 1e-6) -> float:
     """Worst growth-equation defect over (q, shapes), two boxes above the support."""
     if cases is None:
         shapes = random_partitions(15, 15, seed=77)
         cases = ((0.5, shapes), (0.8, shapes))
     return _worst(
-        growth.pde_residual(w, QParam(q), w.support_max + 2.0, dt=dt, dx=dx)
+        growth.pde_residual(w, QParam(q), w.support_max + 2.0, dt=dt, dx=1e-5)
         for q, shapes in cases
         for w in map(to_interlacing, shapes)
     )

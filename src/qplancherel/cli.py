@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -64,8 +65,6 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key, value in self.tolerances.items():
-            if key not in _TOLERANCE_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
             if value <= 0:
                 raise ConfigError(f"tolerance {key} must be positive, got {value}")
 
@@ -130,7 +129,7 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{key} must be a number, got {value!r}") from exc
         elif key in _STR_KEYS:
             values[key] = value
-        elif key.startswith("tol_"):
+        elif key in _TOLERANCE_KEYS:
             try:
                 values.setdefault("tolerances", {})[key] = float(value)
             except ValueError as exc:
@@ -164,7 +163,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt(obj)
+        # JSON has no token for nan or inf
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     if obj is None:

@@ -203,6 +203,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(kernel, "partial_fraction_weights", nan_route)
         assert main(["verify"]) == EXIT_CHECK_FAILED
         assert "verify: FAIL kernel_oracle" in capsys.readouterr().err
+        # the JSON report stays parseable, the NaN written as null
+        assert main(["verify", "--format", "json"]) == EXIT_CHECK_FAILED
+        suites = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+        assert suites["kernel_oracle"]["max_error"] is None
+        assert suites["kernel_oracle"]["passed"] is False
 
 
 class TestSimulateCommand:

@@ -19,7 +19,7 @@ from qplancherel import (
     q_measure,
     q_measure_exact,
 )
-from qplancherel import checks, moments
+from qplancherel import moments
 from qplancherel.qmeasure import MomentOverflowError
 
 from conftest import partitions
@@ -113,7 +113,10 @@ def test_log_space_branch_matches_exact():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
 def test_hook_identity(q):
-    assert checks.hook_identity(qs=(q,), top=16) < 1e-12
+    qp = QParam(q)
+    for n in range(1, 17):
+        residual = hook_identity_residual(n, qp)
+        assert abs(residual) * (1.0 - q) ** n < 1e-12
 
 
 def test_hook_identity_scale_overflow_is_typed():
