@@ -90,12 +90,12 @@ def markov_krein(qs=(0.5,), shapes=None) -> float:
 
 
 def ode_closed_forms(sigmas=(0.25, 0.5, 1.0, 1.5, 2.0)) -> float:
-    """Worst relative gap between the RK4 flow and the printed solutions, n <= 4."""
+    """Worst relative gap between the exact flow and the printed solutions, n <= 4."""
     y0 = (1.0, 1.0, 1.0, 1.0)
     return _worst(
         _rel_gap(y, dynamics.closed_form(n, sigma, y0))
         for sigma in sigmas
-        for n, y in enumerate(dynamics.integrate_moments(y0, sigma, steps=1000).y, 1)
+        for n, y in enumerate(dynamics.integrate_moments(y0, sigma).y, 1)
     )
 
 

@@ -14,15 +14,15 @@ converts p-moments to h-moments.  The first equations read
     y_3' = (3/2) y_1^3 + (9/2) y_1 y_2 + 3 y_3
     y_4' = (2/3) y_1^4 + 4 y_1^2 y_2 + (16/3) y_1 y_3 + 2 y_2^2 + 4 y_4.
 
-Each y_n is exp(n sigma) times a polynomial P_n of degree n - 1 in
-sigma.  The right-hand side is weighted-homogeneous, so the reduced
-moments P_n obey P_n' = n sum_{k<n} P_k H_{n-k}, with H the h-moments
-of P from the Newton recursion.  From y_n(0) = 1 this integrates
-exactly in rationals, and ``limit_moments`` evaluates
-y_n = exp(n sigma) P_n(sigma) at sigma = ln^2(q), the limiting Rayleigh
-moments of the rescaled process at parameter q.  The fourth-order
-Runge-Kutta integrator ``integrate_moments`` and the hand-written
-``closed_form`` for n <= 4 stay as independent cross-checks.
+The right-hand side is weighted-homogeneous, so from any initial data
+y0 each y_n is exp(n sigma) times a polynomial P_n of degree n - 1 in
+sigma: the reduced moments obey P_n' = n sum_{k<n} P_k H_{n-k} with
+P_n(0) = y0_n, where H are the h-moments of P from the Newton recursion.
+This integrates exactly in rationals.  ``integrate_moments`` evaluates
+y_n = exp(n sigma) P_n(sigma) from any y0, and ``limit_moments`` is its
+all-ones case at sigma = ln^2(q), the limiting Rayleigh moments of the
+rescaled process at parameter q.  The hand-written ``closed_form`` for
+n <= 4 stays as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,33 +31,29 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .moments import MomentOverflowError, MomentVector, h_from_p_partition_sum
 from .qmeasure import QParam
 
 # Largest relative defect of the exact flow against ode_rhs.
 _FLOW_DEFECT_TOL = 1e-12
-# Default bound on the relative Richardson estimate of an RK4 run.
-_RICHARDSON_TOL = 1e-6
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# Prefixes of initial vectors whose exact polynomials are kept.
+_FLOW_CACHE_SIZE = 1024
 
 
 class IntegrationAccuracyError(RuntimeError):
-    """The flow failed its accuracy check.
-
-    Raised when the Richardson estimate of a Runge-Kutta run is too large,
-    or when the exact flow does not satisfy the moment equations.
-    """
+    """The exact flow does not satisfy the moment equations to 1e-12."""
 
 
 @dataclass(frozen=True)
 class OdeState:
-    """Moment vector y at logarithmic time sigma, with an error estimate."""
+    """Moment vector y at logarithmic time sigma, with its measured flow defect."""
 
     sigma: float
     y: tuple[float, ...]
-    error_estimate: float = 0.0
+    error_estimate: float
 
 
 def ode_rhs(y) -> tuple[float, ...]:
@@ -66,73 +62,6 @@ def ode_rhs(y) -> tuple[float, ...]:
     return tuple(
         n * n * h_from_p_partition_sum(y, n) for n in range(1, len(y) + 1)
     )
-
-
-def _rk4(y0: tuple[float, ...], sigma_end: float, steps: int) -> tuple[float, ...]:
-    h = sigma_end / steps
-    y = list(y0)
-    for _ in range(steps):
-        k1 = ode_rhs(y)
-        k2 = ode_rhs([y[i] + 0.5 * h * k1[i] for i in range(len(y))])
-        k3 = ode_rhs([y[i] + 0.5 * h * k2[i] for i in range(len(y))])
-        k4 = ode_rhs([y[i] + h * k3[i] for i in range(len(y))])
-        y = [
-            y[i] + h * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6
-            for i in range(len(y))
-        ]
-    return tuple(y)
-
-
-def _rk4_checkpoints(
-    y0: tuple[float, ...],
-    sigma_end: float,
-    segments: int,
-    steps: int,
-    tol: float,
-) -> tuple[list[tuple[float, ...]], float]:
-    """RK4 states at sigma_end * j / segments for j = 1..segments.
-
-    Each segment takes ``steps`` steps; a second pass at half the step
-    size gives a Richardson estimate (relative, factor 1/15) over all
-    checkpoints, and the run is rejected when it exceeds ``tol``.
-    """
-    length = sigma_end / segments
-    coarse, fine = [y0], [y0]
-    for _ in range(segments):
-        coarse.append(_rk4(coarse[-1], length, steps))
-        fine.append(_rk4(fine[-1], length, 2 * steps))
-    estimate = max(
-        abs(f - c) / max(1.0, abs(f))
-        for cs, fs in zip(coarse[1:], fine[1:])
-        for c, f in zip(cs, fs)
-    ) / 15.0
-    if estimate > tol:
-        raise IntegrationAccuracyError(
-            f"Richardson estimate {estimate:.3e} above {tol:.1e} "
-            f"with {steps * segments} steps to sigma = {sigma_end}"
-        )
-    return coarse[1:], estimate
-
-
-def integrate_moments(
-    y0,
-    sigma_end: float,
-    steps: int = 1000,
-    tol: float = _RICHARDSON_TOL,
-) -> OdeState:
-    """Classical fixed-step fourth-order integration of the moment flow.
-
-    A second pass at half the step size provides a Richardson error
-    estimate (relative, factor 1/15); the run is rejected when the
-    estimate exceeds ``tol``.
-    """
-    y0 = tuple(float(v) for v in y0)
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if sigma_end == 0.0:
-        return OdeState(0.0, y0, 0.0)
-    states, estimate = _rk4_checkpoints(y0, sigma_end, 1, steps, tol)
-    return OdeState(float(sigma_end), states[0], estimate)
 
 
 def closed_form(n: int, sigma: float, y0) -> float:
@@ -180,33 +109,33 @@ def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction
     return out
 
 
-@cache
-def _reduced_flow(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact (P_n, H_n) of the flow from all-ones, ascending in sigma.
+@lru_cache(maxsize=_FLOW_CACHE_SIZE)
+def _reduced_flow(y0: tuple[float, ...]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact (P_n, H_n), n = len(y0), of the flow from y0, ascending in sigma.
 
-    P_n' = n sum_{k<n} P_k H_{n-k} with P_n(0) = 1, and the Newton
-    recursion n H_n = P_n + sum_{k<n} P_k H_{n-k}.  All coefficients
-    are positive.
+    P_n' = n sum_{k<n} P_k H_{n-k} with P_n(0) = y0_n, and the Newton
+    recursion n H_n = P_n + sum_{k<n} P_k H_{n-k}.  P_k and H_k depend
+    on y0_1..y0_k only, so the recursion runs on the prefixes of y0.
     """
-    if n == 1:
-        return (Fraction(1),), (Fraction(1),)
+    n = len(y0)
     slope = [Fraction(0)] * (n - 1)
     for k in range(1, n):
-        product = _poly_mul(_reduced_flow(k)[0], _reduced_flow(n - k)[1])
+        product = _poly_mul(_reduced_flow(y0[:k])[0], _reduced_flow(y0[: n - k])[1])
         for i, c in enumerate(product):
             slope[i] += n * c
-    p = (Fraction(1),) + tuple(c / (i + 1) for i, c in enumerate(slope))
+    p = (Fraction(y0[-1]),) + tuple(c / (i + 1) for i, c in enumerate(slope))
     h = tuple((p[i] + slope[i] / n) / n for i in range(n - 1)) + (p[-1] / n,)
     return p, h
 
 
-@cache
-def _flow_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Float coefficients of P_n and of n P_n + P_n', ascending in sigma.
+@lru_cache(maxsize=_FLOW_CACHE_SIZE)
+def _flow_coefficients(y0: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float coefficients of P_n and of n P_n + P_n', n = len(y0), ascending in sigma.
 
     These are y_n and dy_n/dsigma with the factor exp(n sigma) taken out.
     """
-    p = _reduced_flow(n)[0]
+    n = len(y0)
+    p = _reduced_flow(y0)[0]
     slope = [n * c for c in p]
     for i in range(1, n):
         slope[i - 1] += i * p[i]
@@ -220,83 +149,72 @@ def _horner(coeffs: tuple[float, ...], s: float) -> float:
     return acc
 
 
-def limit_moments(qp: QParam, n_max: int) -> MomentVector:
-    """Limiting Rayleigh moments y_n = exp(n sigma) P_n(sigma), sigma = ln^2(q).
+def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[float, ...], float]:
+    """y_n = exp(n sigma) P_n(sigma) for n = 1..len(y0), and the flow defect.
 
-    The polynomials P_n are exact; all their coefficients are positive,
-    so Horner's rule evaluates them without cancellation.  One call of
-    :func:`ode_rhs` on the reduced moments P_n(sigma) checks the result:
-    their relative defect against n P_n + P_n' above 1e-12 raises
-    IntegrationAccuracyError.  A moment beyond the floating-point range
-    raises MomentOverflowError.
+    One call of :func:`ode_rhs` on the reduced moments P_n(sigma) checks
+    the polynomials: the flow is weighted-homogeneous, so
+    rhs_n(y) = exp(n sigma) rhs_n(P) must equal n P_n + P_n'.  The
+    defect is measured relative to rhs_n(A), with A_n = |P_n|(|sigma|)
+    the polynomial with its coefficients made positive, which bounds
+    both sides' rounding even where P_n or the slope cancels to near
+    zero.  When A = P, as for the flow from all-ones at sigma >= 0,
+    A needs no second call.  A defect above 1e-12 raises
+    IntegrationAccuracyError, and a moment beyond the floating-point
+    range raises MomentOverflowError.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    sigma = limit_sigma(qp)
-    reduced, slopes, values = [], [], []
-    for n in range(1, n_max + 1):
-        p_coeffs, slope_coeffs = _flow_coefficients(n)
+    reduced, amplitudes, slopes, values = [], [], [], []
+    for n in range(1, len(y0) + 1):
+        p_coeffs, slope_coeffs = _flow_coefficients(y0[:n])
         p = _horner(p_coeffs, sigma)
-        if n * sigma + math.log(p) >= _LOG_DOUBLE_MAX:
+        # exp(n sigma) itself must stay finite, even where |P_n| < 1
+        if n * sigma + math.log(max(abs(p), 1.0)) >= _LOG_DOUBLE_MAX:
             raise MomentOverflowError(
-                f"limiting moment p_{n} at q = {qp.q} exceeds the floating-point range"
+                f"moment p_{n} {where} exceeds the floating-point range"
             )
         reduced.append(p)
+        amplitudes.append(_horner([abs(c) for c in p_coeffs], abs(sigma)))
         slopes.append(_horner(slope_coeffs, sigma))
         values.append(math.exp(n * sigma) * p)
-    # The flow is weighted-homogeneous: rhs_n(y) = exp(n sigma) rhs_n(P).
-    defect = max(abs(r - s) / s for r, s in zip(ode_rhs(reduced), slopes))
+    rhs = ode_rhs(reduced)
+    scale = rhs if amplitudes == reduced else ode_rhs(amplitudes)
+    defect = max(
+        abs(r - s) / a if a else abs(r - s) for r, s, a in zip(rhs, slopes, scale)
+    )
     if not defect <= _FLOW_DEFECT_TOL:
         raise IntegrationAccuracyError(
             f"exact flow defect {defect:.3e} above {_FLOW_DEFECT_TOL:.0e} "
-            f"at q = {qp.q}, order {n_max}"
+            f"{where}, order {len(y0)}"
         )
-    return MomentVector("p", tuple(values))
+    return tuple(values), defect
 
 
-def polynomial_structure_residual(
-    n: int,
-    y0=None,
-    sigma_max: float = 2.0,
-    steps: int = 2000,
-) -> float:
-    """How far y_n(s) e^(-ns) is from a degree-(n - 1) polynomial in s.
+def integrate_moments(y0, sigma_end: float) -> OdeState:
+    """The moment flow from ``y0`` to ``sigma_end``, exactly.
 
-    Interpolates through n sample points on (0, sigma_max] and returns
-    the worst relative mismatch at the midpoints between them, which is
-    zero exactly when the structure claim holds.  For n = 1 the claim
-    is that y_1 e^(-s) is constant.  One RK4 run (about ``steps`` steps,
-    with its Richardson check) stops at every node and probe, the
-    multiples of sigma_max / (2n).
+    Evaluates y_n = exp(n sigma) P_n(sigma) from the exact reduced
+    polynomials of ``y0``; ``error_estimate`` is the relative defect
+    against :func:`ode_rhs` that gates the result (at most 1e-12).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if y0 is None:
-        y0 = (1.0,) * n
-    if len(y0) < n:
-        raise ValueError(f"y0 has {len(y0)} entries, needs at least {n}")
-
-    segments = 2 * n
-    per_segment = -(-steps // segments)
     y0 = tuple(float(v) for v in y0)
-    states, _ = _rk4_checkpoints(y0, sigma_max, segments, per_segment, _RICHARDSON_TOL)
-    sigmas = [sigma_max * j / segments for j in range(1, segments + 1)]
-    reduced = [y[n - 1] * math.exp(-n * s) for y, s in zip(states, sigmas)]
-    # nodes at the even multiples, probes at the odd ones
-    nodes, values = sigmas[1::2], reduced[1::2]
-    # Newton divided differences; evaluation by nested multiplication.
-    coeffs = list(values)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - k])
+    if not y0 or not all(map(math.isfinite, y0)):
+        raise ValueError(f"y0 must be a non-empty vector of finite values, got {y0}")
+    sigma = float(sigma_end)
+    y, defect = _exact_flow(y0, sigma, f"at sigma = {sigma}")
+    return OdeState(sigma, y, defect)
 
-    def interpolant(s: float) -> float:
-        acc = coeffs[n - 1]
-        for i in range(n - 2, -1, -1):
-            acc = acc * (s - nodes[i]) + coeffs[i]
-        return acc
 
-    return max(
-        abs(interpolant(s) - reference) / abs(reference)
-        for s, reference in zip(sigmas[0::2], reduced[0::2])
-    )
+def limit_moments(qp: QParam, n_max: int) -> MomentVector:
+    """Limiting Rayleigh moments y_n = exp(n sigma) P_n(sigma), sigma = ln^2(q).
+
+    This is the flow from all-ones: the polynomials P_n are exact and
+    all their coefficients are positive, so Horner's rule evaluates them
+    without cancellation.  The same defect gate as for
+    :func:`integrate_moments` checks the result with one call of
+    :func:`ode_rhs`; a moment beyond the floating-point range raises
+    MomentOverflowError.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    values, _ = _exact_flow((1.0,) * n_max, limit_sigma(qp), f"at q = {qp.q}")
+    return MomentVector("p", values)

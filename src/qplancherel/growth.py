@@ -66,8 +66,8 @@ _UNIFORM_BLOCK = 4096
 _TOEPLITZ_BLOCK = 128
 _TINY = np.finfo(np.float64).tiny
 _LOG_CAP = 700.0
-# A Monte Carlo standard error this many ulp of the mean or below is
-# rounding in the moment sums, not sampling noise.
+# A Monte Carlo standard error this many ulp of the moment sums' scale
+# (the mean of sum |terms|) or below is rounding, not sampling noise.
 _ROUNDING_FLOOR_ULPS = 8
 # Growing at c turns c into a maximum and c - 1, c + 1 into minima or
 # plain columns: the same change of ``kind`` in every case.
@@ -324,9 +324,10 @@ def _minima_weights(log_weights: np.ndarray, kind: np.ndarray) -> np.ndarray:
 
 def _rescaled_p_moments(
     w: InterlacingDiagram, n_boxes: int, qp: QParam, n_max: int
-) -> tuple[float, ...]:
-    # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q;
-    # the largest exponent sits at the last minimum.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q,
+    # and the sum of |terms| of each; the largest exponent sits at the
+    # last minimum.
     scale = qp.log_inv / math.sqrt(n_boxes)
     if n_max * scale * w.minima[-1] > _EXP_GUARD:
         raise MomentOverflowError(
@@ -335,23 +336,27 @@ def _rescaled_p_moments(
         )
     mins = np.asarray(w.minima, dtype=np.float64)
     maxs = np.asarray(w.maxima, dtype=np.float64)
-    out = []
+    moments, abs_sums = [], []
     for n in range(1, n_max + 1):
-        out.append(
-            float(
-                np.exp(n * scale * mins).sum() - np.exp(n * scale * maxs).sum()
-            )
-        )
-    return tuple(out)
+        up = np.exp(n * scale * mins).sum()
+        down = np.exp(n * scale * maxs).sum()
+        moments.append(float(up - down))
+        abs_sums.append(float(up + down))
+    return tuple(moments), tuple(abs_sums)
 
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """Final state of one simulated trajectory, already rescaled."""
+    """Final state of one simulated trajectory, already rescaled.
+
+    ``abs_sums`` holds the sum of |terms| of each moment, the scale of
+    its rounding.
+    """
 
     trial: int
     shape: Partition
     moments: tuple[float, ...]
+    abs_sums: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -366,17 +371,19 @@ class McReport:
     means: tuple[float, ...]
     stderrs: tuple[float, ...]
     targets: tuple[float, ...]
+    abs_sums: tuple[float, ...]
 
     def z_scores(self) -> tuple[float, ...]:
         """(mean - target) / stderr per moment.
 
-        A standard error of at most 8 ulp of |mean|, zero included, is the
-        rounding floor of the moment sums rather than a sampling error,
-        and gives inf.
+        ``abs_sums`` is the trajectories' mean sum of |terms| of each
+        moment, at least |mean|.  A standard error of at most 8 ulp of
+        it, zero included, is the rounding floor of the moment sums
+        rather than a sampling error, and gives inf.
         """
         return tuple(
-            (m - t) / s if s > _ROUNDING_FLOOR_ULPS * math.ulp(m) else math.inf
-            for m, s, t in zip(self.means, self.stderrs, self.targets)
+            (m - t) / s if s > _ROUNDING_FLOOR_ULPS * math.ulp(a) else math.inf
+            for m, s, t, a in zip(self.means, self.stderrs, self.targets, self.abs_sums)
         )
 
     def to_dict(self) -> dict:
@@ -428,7 +435,7 @@ def simulate_rescaled(
                 TrajectorySample(
                     trial,
                     from_interlacing(w),
-                    _rescaled_p_moments(w, n_boxes, qp, n_max),
+                    *_rescaled_p_moments(w, n_boxes, qp, n_max),
                 )
             )
     return samples
@@ -449,6 +456,7 @@ def report_from_samples(
         stderrs = data.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
         stderrs = np.zeros(n_max)
+    abs_sums = np.array([s.abs_sums for s in samples]).mean(axis=0)
     targets = dynamics.limit_moments(qp, n_max).values
     return McReport(
         n_boxes=n_boxes,
@@ -459,6 +467,7 @@ def report_from_samples(
         means=tuple(float(v) for v in means),
         stderrs=tuple(float(v) for v in stderrs),
         targets=tuple(targets),
+        abs_sums=tuple(float(v) for v in abs_sums),
     )
 
 

@@ -16,6 +16,7 @@ import math
 import time
 
 import pytest
+from rk4 import polynomial_structure_residual
 
 from qplancherel import (
     QParam,
@@ -25,7 +26,6 @@ from qplancherel import (
     p_moments,
     p_to_h,
     pde_residual,
-    polynomial_structure_residual,
     simulate_rescaled,
     solve_r_omega,
     to_interlacing,
@@ -116,7 +116,7 @@ def test_criterion_4_markov_krein(finish):
 
 
 def test_criterion_5_ode_closed_forms(finish):
-    # integrator vs printed solutions, then the degree-(n-1) structure
+    # exact flow vs printed solutions, then the RK4 fit of the degree-(n-1) structure
     sigmas = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     worst_rel, tol, _ = run_check("ode_closed_forms", sigmas=sigmas)
     worst_fit = max(polynomial_structure_residual(n) for n in range(1, 7))

@@ -1,8 +1,9 @@
-"""Moment flow: right-hand side, integrator, closed forms, structure."""
+"""Moment flow: right-hand side, exact flow, RK4, closed forms, structure."""
 
 import math
 
 import pytest
+from rk4 import integrate_rk4, polynomial_structure_residual
 
 from qplancherel import dynamics
 from qplancherel.dynamics import (
@@ -12,7 +13,6 @@ from qplancherel.dynamics import (
     limit_moments,
     limit_sigma,
     ode_rhs,
-    polynomial_structure_residual,
 )
 from qplancherel.limitshape import series_h_omega
 from qplancherel.moments import (
@@ -51,11 +51,60 @@ class TestOdeRhs:
         assert ode_rhs((a, b, c, d))[3] == pytest.approx(expected, rel=1e-13)
 
 
+MIXED_STARTS = [(0.8, -1.4, 0.3, -2.0), (-1.3, 0.7, -0.4, 2.1)]
+
+
 class TestIntegrator:
     def test_zero_time_is_identity(self):
         state = integrate_moments((1.0, 1.0), 0.0)
         assert state.y == (1.0, 1.0)
         assert state.sigma == 0.0
+        for y0 in MIXED_STARTS:
+            assert integrate_moments(y0, 0.0).y == y0
+
+    @pytest.mark.parametrize("y0", [(1.0,) * 4, (0.8, 1.4, 0.3, 2.0), *MIXED_STARTS])
+    def test_exact_against_closed_forms(self, y0):
+        for sigma in (0.25, 0.5, 1.0, 1.5, 2.0):
+            state = integrate_moments(y0, sigma)
+            assert state.error_estimate <= 1e-12
+            for n in range(1, 5):
+                assert state.y[n - 1] == pytest.approx(
+                    closed_form(n, sigma, y0), rel=1e-14
+                )
+
+    @pytest.mark.parametrize("y0", MIXED_STARTS)
+    def test_general_start_matches_rk4(self, y0):
+        # beyond n = 4 only RK4 checks the flow from a general start
+        y0 = (*y0, 0.5, -1.1)
+        for sigma in (0.7, 1.3):
+            exact = integrate_moments(y0, sigma).y
+            assert exact == pytest.approx(integrate_rk4(y0, sigma).y, rel=1e-8)
+
+    def test_corrupted_coefficient_fails_the_gate(self, monkeypatch):
+        exact = dynamics._flow_coefficients
+
+        def corrupted(y0):
+            p_coeffs, slope_coeffs = exact(y0)
+            if len(y0) == 3:
+                p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
+            return p_coeffs, slope_coeffs
+
+        monkeypatch.setattr(dynamics, "_flow_coefficients", corrupted)
+        with pytest.raises(IntegrationAccuracyError):
+            integrate_moments(MIXED_STARTS[0], 1.0)
+
+    def test_cancelling_slope_passes_the_gate(self):
+        # from (1, -1) the slope of y_2 starts at 0 while its terms do
+        # not; from a zero y_1 every term of y_1' is 0
+        state = integrate_moments((1.0, -1.0), 1e-20)
+        assert state.y == (1.0, -1.0)
+        assert state.error_estimate <= 1e-12
+        assert integrate_moments((0.0, 1.0), 1.0).y == (0.0, math.exp(2.0))
+
+    def test_start_validation(self):
+        for y0 in ((), (1.0, math.nan), (math.inf,)):
+            with pytest.raises(ValueError):
+                integrate_moments(y0, 1.0)
 
     def test_single_moment_exponential(self):
         state = integrate_moments((1.0,), 1.0)
@@ -69,28 +118,28 @@ class TestIntegrator:
     def test_matches_closed_forms_on_range(self):
         y0 = (1.0, 1.0, 1.0, 1.0)
         for sigma in (0.25, 0.5, 1.0, 1.5, 2.0):
-            state = integrate_moments(y0, sigma, steps=1000)
+            state = integrate_moments(y0, sigma)
             for n in range(1, 5):
                 exact = closed_form(n, sigma, y0)
                 assert state.y[n - 1] == pytest.approx(exact, rel=1e-7)
 
     def test_nonuniform_initial_values(self):
         y0 = (0.8, 1.4, 0.3, 2.0)
-        state = integrate_moments(y0, 1.2, steps=2000)
+        state = integrate_moments(y0, 1.2)
         for n in range(1, 5):
             exact = closed_form(n, 1.2, y0)
             assert state.y[n - 1] == pytest.approx(exact, rel=1e-8)
 
     def test_too_few_steps_flagged(self):
         with pytest.raises(IntegrationAccuracyError):
-            integrate_moments((1.0,) * 4, 2.0, steps=2)
+            integrate_rk4((1.0,) * 4, 2.0, steps=2)
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError):
-            integrate_moments((1.0,), 1.0, steps=0)
+            integrate_rk4((1.0,), 1.0, steps=0)
 
     def test_error_estimate_reported(self):
-        state = integrate_moments((1.0, 1.0), 1.0, steps=500)
+        state = integrate_rk4((1.0, 1.0), 1.0, steps=500)
         assert 0.0 < state.error_estimate < 1e-6
 
 
@@ -108,7 +157,7 @@ class TestClosedForm:
     def test_taylor_consistency_fourth(self):
         y0 = (1.0, 1.0, 1.0, 1.0)
         for sigma in (1e-3, 2e-3):
-            state = integrate_moments(y0, sigma, steps=50)
+            state = integrate_rk4(y0, sigma, steps=50)
             assert closed_form(4, sigma, y0) == pytest.approx(
                 state.y[3], rel=1e-12
             )
@@ -133,7 +182,7 @@ class TestPolynomialStructure:
         # interpolating y_3 e^{-3s} with only two nodes must fail:
         # the reduced moment is a genuine quadratic
         def reduced(sigma):
-            state = integrate_moments((1.0, 1.0, 1.0), sigma, steps=1500)
+            state = integrate_rk4((1.0, 1.0, 1.0), sigma, steps=1500)
             return state.y[2] * math.exp(-3 * sigma)
 
         s0, s1 = 0.5, 1.0
@@ -197,16 +246,23 @@ class TestExactFlow:
                 for a, b in zip(flow, series):
                     assert a == pytest.approx(b, rel=1e-12), (qp.q, n_max)
 
+    @pytest.mark.parametrize("q", [0.02, 0.5, 0.95])
+    def test_is_the_flow_from_all_ones(self, q):
+        qp = QParam(q)
+        for n in range(1, 9):
+            flow = integrate_moments((1.0,) * n, limit_sigma(qp)).y
+            assert limit_moments(qp, n).values == flow
+
     @pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
     def test_matches_rk4(self, q):
         qp = QParam(q)
-        rk4 = integrate_moments((1.0,) * 6, limit_sigma(qp), steps=1000).y
+        rk4 = integrate_rk4((1.0,) * 6, limit_sigma(qp), steps=1000).y
         assert limit_moments(qp, 6).values == pytest.approx(rk4, rel=1e-8)
 
     def test_reduced_polynomials_match_closed_forms(self):
         sigma = 0.7
         for n in range(1, 5):
-            p_coeffs, _ = dynamics._flow_coefficients(n)
+            p_coeffs, _ = dynamics._flow_coefficients((1.0,) * n)
             value = sum(c * sigma**i for i, c in enumerate(p_coeffs))
             assert value * math.exp(n * sigma) == pytest.approx(
                 closed_form(n, sigma, (1.0,) * 4), rel=1e-14
@@ -226,9 +282,9 @@ class TestExactFlow:
     def test_corrupted_coefficient_fails_the_gate(self, monkeypatch):
         exact = dynamics._flow_coefficients
 
-        def corrupted(n):
-            p_coeffs, slope_coeffs = exact(n)
-            if n == 3:
+        def corrupted(y0):
+            p_coeffs, slope_coeffs = exact(y0)
+            if len(y0) == 3:
                 p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
             return p_coeffs, slope_coeffs
 
@@ -261,7 +317,7 @@ class TestDynamicEquivalence:
         t0, dt = 0.8, 1e-5
 
         def p_at(t):
-            return integrate_moments((1.0,) * n_max, t * rho2, steps=800).y
+            return integrate_moments((1.0,) * n_max, t * rho2).y
 
         plus, minus = p_at(t0 + dt), p_at(t0 - dt)
         here = p_at(t0)

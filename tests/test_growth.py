@@ -401,10 +401,18 @@ class TestMcLimitExperiment:
             means=(mean, 2.0),
             stderrs=(3 * math.ulp(mean), 0.5),
             targets=(1.000000000001, 2.5),
+            abs_sums=(mean, 2.0),
         )
         z = report.z_scores()
         assert math.isinf(z[0])
         assert z[1] == pytest.approx(-1.0)
+
+    def test_rounding_floor_scales_with_the_moment_sums(self):
+        # at q = 1 - 1e-6 each moment is a sum over ~220 corner terms
+        # near 1; its rounding, not sampling, sets the standard error
+        report = mc_limit_experiment(10000, QParam(0.999999), 4, 2, 0)
+        assert all(a > 100 * abs(m) for m, a in zip(report.means, report.abs_sums))
+        assert all(math.isinf(z) for z in report.z_scores())
 
     def test_moderate_run_is_consistent(self):
         # small n has an O(n^{-1/2}) bias, so allow a generous band;
