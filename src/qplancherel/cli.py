@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import checks, dynamics, growth, limitshape, moments, qmeasure, rsk
-from .diagrams import CapacityError, max_level
+from .diagrams import CapacityError
 from .qmeasure import QParam
 
 SCHEMA = "qplancherel/1"
@@ -65,8 +65,8 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key, value in self.tolerances.items():
-            if value <= 0:
-                raise ConfigError(f"tolerance {key} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance {key} must be finite and positive, got {value}")
 
     def header_items(self) -> list[tuple[str, str]]:
         items = [
@@ -344,16 +344,9 @@ def run_limit_shape(config: RunConfig) -> int:
 
 
 def run_pushforward(config: RunConfig) -> int:
-    cap = min(rsk._MAX_PUSHFORWARD_N, max_level())
-    if config.n > cap:
-        raise CapacityError(
-            f"exact push-forward is exhaustive; n is capped at {cap}, got {config.n}"
-        )
     if config.n < 1:
         raise ConfigError("pushforward needs n >= 1")
     qp = QParam(config.q)
-    if qp.is_classical:
-        raise ConfigError("pushforward needs q in (0, 1)")
     probs = rsk.pushforward_exact(config.n, config.q)
 
     if config.format == "json":

@@ -5,24 +5,23 @@ Permutations are tuples holding each of 1..n once.  The descent set of
 those positions.  Biasing the uniform distribution on S(n) by q^MAJ and
 pushing forward through the recording-tableau shape of row insertion
 yields exactly the q-deformed Plancherel measure of ``qmeasure``; the
-normalizer is the Poincare polynomial [n]! / (1 - q)^n.  Everything in
-this module is exhaustive enumeration; no sampler is offered.
+normalizer is the Poincare polynomial [n]! / (1 - q)^n.  No sampler is
+offered.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
-from .diagrams import CapacityError, Partition, hook_data
+import numpy as np
 
-_MAX_PUSHFORWARD_N = 9
-_MAX_GENFUN_SIZE = 12
+from .diagrams import CapacityError, Partition, hook_data, max_level
+
+_MAX_PUSHFORWARD_N = 20
 
 Permutation = tuple[int, ...]
 
@@ -161,37 +160,44 @@ def standard_tableaux(shape: Partition):
 def maj_distribution(n: int) -> dict[Partition, tuple[tuple[int, int], ...]]:
     """For each shape of n, the multiset {MAJ(w): RSK shape (w) = shape}.
 
-    Returned as sorted (maj, count) pairs; exhaustive over S(n).
+    Returned as sorted (maj, count) pairs.  Row insertion carries the
+    descents of w to its recording tableau and pairs it with any of the
+    dim(shape) insertion tableaux, so each count is dim(shape) times the
+    number of standard tableaux with that maj.  Those are counted box by
+    box over the Young lattice: entry k + 1 placed in a row strictly
+    below entry k adds k to the maj.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if n > _MAX_PUSHFORWARD_N:
         raise CapacityError(
-            f"exhaustive enumeration capped at n = {_MAX_PUSHFORWARD_N}, got {n}"
+            f"exact q^MAJ table capped at n = {_MAX_PUSHFORWARD_N}, got {n}"
         )
-    counters: dict[Partition, Counter] = {}
-    for perm in permutations(range(1, n + 1)):
-        m = sum(i for i in range(1, n) if perm[i - 1] > perm[i])
-        shape = _insertion_shape(perm)
-        counters.setdefault(shape, Counter())[m] += 1
-    return {
-        shape: tuple(sorted(counter.items())) for shape, counter in counters.items()
-    }
-
-
-def _insertion_shape(perm: Permutation) -> Partition:
-    rows: list[list[int]] = []
-    for value in perm:
-        v = value
-        for row in rows:
-            j = bisect_right(row, v)
-            if j == len(row):
-                row.append(v)
-                break
-            row[j], v = v, row[j]
-        else:
-            rows.append([v])
-    return Partition(tuple(len(r) for r in rows))
+    # (shape, row of the largest entry) -> tableau counts indexed by maj;
+    # a count is at most dim(shape) <= sqrt(n!), well inside int64
+    size = n * (n - 1) // 2 + 1
+    empty = np.zeros(size, np.int64)
+    empty[0] = 1
+    level = {(Partition(), 0): empty}
+    for k in range(n):
+        grown: dict[tuple[Partition, int], np.ndarray] = {}
+        for (shape, last), counts in level.items():
+            for corner, row in enumerate(shape.addable_rows()):
+                key = (shape.add_box(corner), row)
+                target = grown.setdefault(key, np.zeros(size, np.int64))
+                if row > last:
+                    target[k:] += counts[: size - k]
+                else:
+                    target += counts
+        level = grown
+    tableaux: dict[Partition, np.ndarray] = {}
+    for (shape, _), counts in level.items():
+        tableaux[shape] = tableaux.get(shape, 0) + counts
+    table = {}
+    for shape, counts in tableaux.items():
+        dim = int(counts.sum())
+        table[shape] = tuple((int(m), int(counts[m]) * dim) for m in np.flatnonzero(counts))
+    return table
 
 
 def poincare_polynomial(n: int, q):
@@ -212,15 +218,15 @@ def pushforward_exact(n: int, q):
     The normalizer is checked against the Poincare polynomial.  Returns
     a dict keyed by shape, in decreasing lexicographic shape order.
     """
-    if isinstance(q, Fraction):
-        if not (0 < q < 1):
-            raise ValueError(f"q must lie in (0, 1), got {q}")
-    elif not (0.0 < float(q) < 1.0):
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    if not (0 < q <= 1):
+        raise ValueError(f"q must lie in (0, 1], got {q}")
+    cap = min(_MAX_PUSHFORWARD_N, max_level())
+    if n > cap:
+        raise CapacityError(f"exact push-forward capped at n = {cap}, got {n}")
     dist = maj_distribution(n)
     masses = {
-        shape: sum(count * q**m for m, count in pairs)
-        for shape, pairs in dist.items()
+        shape: sum(count * q**m for m, count in dist[shape])
+        for shape in sorted(dist, key=lambda s: s.parts, reverse=True)
     }
     total = sum(masses.values())
     expected = poincare_polynomial(n, q)
@@ -229,33 +235,25 @@ def pushforward_exact(n: int, q):
             raise AssertionError("q^MAJ mass disagrees with the Poincare polynomial")
     elif abs(total - expected) > 1e-12 * abs(expected):
         raise AssertionError("q^MAJ mass disagrees with the Poincare polynomial")
-    ordered = sorted(masses, key=lambda s: s.parts, reverse=True)
-    return {shape: masses[shape] / total for shape in ordered}
+    return {shape: mass / total for shape, mass in masses.items()}
 
 
 def tableau_genfun_check(shape: Partition, qp_or_q):
     """sum_T q^MAJ(T) over standard tableaux minus its hook-product form.
 
-    The closed form is q^b(shape) * [n]! / prod_u [h(u)] with [k] = 1 - q^k.
-    Returns the difference, which vanishes up to rounding; passing a
-    Fraction keeps the arithmetic exact and the result is exactly zero.
+    The sum is read off :func:`maj_distribution`, whose counts are
+    dim(shape) times the tableau counts.  The closed form is
+    q^b(shape) * [n]! / prod_u [h(u)] with [k] = 1 - q^k.  Returns the
+    difference, which vanishes up to rounding; passing a Fraction keeps
+    the arithmetic exact and the result is exactly zero.
     """
-    if isinstance(qp_or_q, Fraction):
-        q = qp_or_q
-    else:
-        q = qp_or_q.q if hasattr(qp_or_q, "q") else float(qp_or_q)
+    q = getattr(qp_or_q, "q", qp_or_q)
     if not (0 < q < 1):
         raise ValueError(f"q must lie in (0, 1), got {q}")
     n = shape.size
-    if n > _MAX_GENFUN_SIZE:
-        raise CapacityError(
-            f"tableau enumeration capped at {_MAX_GENFUN_SIZE} boxes, got {n}"
-        )
     data = hook_data(shape)
-    if isinstance(q, Fraction):
-        lhs = sum(q ** maj_tableau(t) for t in standard_tableaux(shape))
-    else:
-        lhs = math.fsum(q ** maj_tableau(t) for t in standard_tableaux(shape))
+    terms = [(c // data.dim) * q**m for m, c in maj_distribution(n)[shape]]
+    lhs = sum(terms) if isinstance(q, Fraction) else math.fsum(terms)
     rhs = q**data.b_stat
     for k in range(1, n + 1):
         rhs *= 1 - q**k

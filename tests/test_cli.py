@@ -80,6 +80,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, value):
+        # a nan tolerance would fail every check, an inf one pass any
+        path = tmp_path / "tol.conf"
+        path.write_text(f"tol_pushforward={value}\n")
+        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+        assert "tolerance tol_pushforward" in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self):
         assert main(["verify", "--config", "/nonexistent/x.conf"]) == EXIT_CONFIG
 
@@ -93,7 +101,7 @@ class TestExitCodes:
         assert main(["simulate", "--bogus", "1"]) == EXIT_CONFIG
 
     def test_pushforward_capacity(self, capsys):
-        assert main(["pushforward", "--n", "10"]) == EXIT_CAPACITY
+        assert main(["pushforward", "--n", "21"]) == EXIT_CAPACITY
         assert "capacity error" in capsys.readouterr().err
 
     def test_env_cap_applies(self, monkeypatch, capsys):
@@ -360,6 +368,21 @@ class TestPushforwardCommand:
             assert float(prob) == pytest.approx(float(reference), abs=1e-12)
             total += float(prob)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_classical_parameter(self, capsys):
+        # at q = 1 the push-forward is the Plancherel measure dim^2 / n!
+        assert main(["pushforward", "--n", "4", "--q", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        rows = [
+            line.split(",")
+            for line in out.splitlines()
+            if line and not line.startswith(("#", "shape"))
+        ]
+        assert [shape for shape, _, _ in rows] == ["4", "3 1", "2 2", "2 1 1", "1 1 1 1"]
+        probs = [float(prob) for _, prob, _ in rows]
+        assert probs == pytest.approx([1 / 24, 9 / 24, 4 / 24, 9 / 24, 1 / 24], abs=1e-15)
+        for _, prob, reference in rows:
+            assert float(prob) == pytest.approx(float(reference), abs=1e-15)
 
     def test_json_output(self, capsys):
         assert main(["pushforward", "--n", "3", "--q", "0.5", "--format", "json"]) == EXIT_OK

@@ -300,7 +300,7 @@ def _statistics(shapes):
 def _rsk_statistics(n, q):
     rng = np.random.default_rng(1)
     return _statistics(
-        [rsk._insertion_shape(_maj_biased_permutation(n, q, rng)) for _ in range(400)]
+        [rsk.rsk_shape(_maj_biased_permutation(n, q, rng))[0].shape for _ in range(400)]
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from qplancherel import (
     StandardTableau,
     descent_set,
     descent_set_tableau,
+    enumerate_level,
     hook_data,
     maj,
     maj_tableau,
@@ -124,7 +126,26 @@ def test_maj_distribution_cap():
     from qplancherel import CapacityError
 
     with pytest.raises(CapacityError):
-        maj_distribution(10)
+        maj_distribution(21)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_maj_distribution_matches_insertion(n):
+    # row insertion over all of S(n) is the oracle for the tableau recursion
+    table: dict[Partition, Counter] = {}
+    for sigma in permutations(range(1, n + 1)):
+        table.setdefault(rsk_shape(sigma)[0].shape, Counter())[maj(sigma)] += 1
+    assert maj_distribution(n) == {
+        shape: tuple(sorted(counter.items())) for shape, counter in table.items()
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_maj_distribution_counts_tableaux(n):
+    for shape, pairs in maj_distribution(n).items():
+        dim = hook_data(shape).dim
+        tableaux = Counter(maj_tableau(t) for t in standard_tableaux(shape))
+        assert pairs == tuple((m, count * dim) for m, count in sorted(tableaux.items()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,10 +164,10 @@ def test_tableau_generating_function_exact():
     assert tableau_genfun_check(Partition((2, 1)), Fraction(1, 2)) == 0
 
 
-@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 1.0])
 def test_pushforward_matches_measure(q):
     qp = QParam(q)
-    for n in range(1, 7):
+    for n in range(1, 21):
         probs = pushforward_exact(n, q)
         tv = 0.5 * math.fsum(
             abs(p - q_measure(lam, qp)) for lam, p in probs.items()
@@ -161,3 +182,13 @@ def test_pushforward_exact_rational():
         probs = pushforward_exact(n, q)
         for lam, p in probs.items():
             assert p == q_measure_exact(lam, q)
+
+
+def test_pushforward_exact_classical():
+    # at q = 1 the bias is uniform: dim^2 / n!, the Plancherel measure
+    for n in range(1, 8):
+        probs = pushforward_exact(n, Fraction(1))
+        assert probs == {
+            lam: Fraction(hook_data(lam).dim ** 2, math.factorial(n))
+            for lam in enumerate_level(n)
+        }
