@@ -117,7 +117,7 @@ def pde_residual(cases=None, dt: float = 1e-6) -> float:
         shapes = random_partitions(15, 15, seed=77)
         cases = ((0.5, shapes), (0.8, shapes))
     return _worst(
-        growth.pde_residual(w, QParam(q), w.support_max + 2.0, dt=dt, dx=1e-5)
+        growth.pde_residual(w, QParam(q), w.support_max + 2.0, dt=dt)
         for q, shapes in cases
         for w in map(to_interlacing, shapes)
     )

@@ -407,10 +407,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         file_values = parse_config_file(args.config)
         tolerances = file_values.pop("tolerances", {})
-        out = file_values.pop("out", None)
         config = replace(config, tolerances=tolerances, **file_values)
-        if out is not None:
-            config = replace(config, out=out)
     overrides = {}
     for name in ("q", "n", "trials", "moments", "seed", "format", "out"):
         value = getattr(args, name)

@@ -13,8 +13,9 @@ the unique solution of the partial-fraction identity
 
     sum_k mu_k / [x - x_k]_q = prod_i [x - y_i]_q / prod_i [x - x_i]_q,
 
-which :func:`partial_fraction_weights` exploits as an independent linear
-solve on a grid of evaluation points above the support.
+which :func:`partial_fraction_weights` solves exactly, in rational
+arithmetic, at m + 1 integer points above the support: an oracle
+independent of the product formula.
 """
 
 from __future__ import annotations
@@ -52,21 +53,24 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     return tuple(out)
 
 
-def default_oracle_grid(w: InterlacingDiagram) -> tuple[float, ...]:
-    """m + 1 equally spaced evaluation points on [max + 2, max + m + 2]."""
-    m = len(w.maxima)
-    top = w.support_max
-    return tuple(float(top + 2 + j) for j in range(m + 1))
+def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
+    """Weights recovered from the partial-fraction identity by an exact solve.
 
-
-def _exact_pf_solve(
-    w: InterlacingDiagram, qp: QParam, offsets: list[list[int]]
-) -> tuple[float, ...]:
+    Independent of the product formula: evaluates the right-hand side at
+    the m + 1 integer points support_max + 2, ..., support_max + m + 2
+    and solves the square system for the residues in rational
+    arithmetic.  Requires integer corner coordinates, as a partition's
+    profile has; any other diagram raises ValueError.
+    """
+    if any(v != int(v) for v in w.minima + w.maxima):
+        raise ValueError("the exact solve needs integer corner coordinates")
+    minima = [int(v) for v in w.minima]
+    maxima = [int(v) for v in w.maxima]
     # Far above the support every kernel column looks like 1 + O(q^x),
-    # so the float system loses the weights long before 25 boxes at
-    # small q.  Integer exponents admit an exact rational solve, which
-    # is what an oracle should be; q is lifted to the Fraction equal to
-    # its binary value.
+    # so a float system loses the weights long before 25 boxes at small
+    # q.  Integer exponents admit an exact rational solve, which is what
+    # an oracle should be; q is lifted to the Fraction equal to its
+    # binary value.
     qf = Fraction(qp.q)
 
     # (1 - q) [d]_q, or d as a Fraction at q = 1 so that 1 / d stays
@@ -74,16 +78,16 @@ def _exact_pf_solve(
     def scaled_bracket(d: int) -> Fraction:
         return Fraction(d) if qp.is_classical else 1 - qf**d
 
-    n = len(offsets)
+    n = len(minima)
+    top = minima[-1]
     rows = []
-    for g in range(n):
-        row = [1 / scaled_bracket(d) for d in offsets[g]]
+    for g in range(top + 2, top + n + 2):
         rhs = Fraction(1)
-        for i in range(len(w.maxima)):
-            rhs *= scaled_bracket(offsets[g][i] + int(w.minima[i]) - int(w.maxima[i]))
-        for d in offsets[g]:
-            rhs /= scaled_bracket(d)
-        rows.append(row + [rhs])
+        for yj in maxima:
+            rhs *= scaled_bracket(g - yj)
+        for xk in minima:
+            rhs /= scaled_bracket(g - xk)
+        rows.append([1 / scaled_bracket(g - xk) for xk in minima] + [rhs])
     for col in range(n):
         pivot = next(
             (i for i in range(col, n) if rows[i][col] != 0), None
@@ -102,67 +106,6 @@ def _exact_pf_solve(
         for j in range(i + 1, n):
             acc -= rows[i][j] * solution[j]
         solution[i] = acc / rows[i][i]
-    return tuple(float(v) for v in solution)
-
-
-def partial_fraction_weights(
-    w: InterlacingDiagram,
-    qp: QParam,
-    x_grid: tuple[float, ...] | None = None,
-) -> tuple[float, ...]:
-    """Weights recovered from the partial-fraction identity by a linear solve.
-
-    Independent of the product formula: evaluates the right-hand side at
-    grid points strictly above support + 1 and solves for the residues.
-    When every grid point sits at an integer offset from the minima and
-    the grid is square (the default), the solve is exact in rational
-    arithmetic, immune to the severe conditioning of the far-field
-    kernel matrix at small q.  Other grids use a floating solve;
-    over-determined ones in the least-squares sense.
-    """
-    m = len(w.maxima)
-    if x_grid is None:
-        x_grid = default_oracle_grid(w)
-    grid = np.asarray(x_grid, dtype=float)
-    if grid.size < m + 1:
-        raise ValueError(f"need at least {m + 1} grid points, got {grid.size}")
-    if np.any(grid <= w.support_max + 1):
-        raise ValueError("grid points must lie strictly above support + 1")
-
-    integral = all(
-        float(v).is_integer()
-        for v in (*grid.tolist(), *w.minima, *w.maxima)
-    )
-    if grid.size == m + 1 and integral:
-        offsets = [
-            [int(g) - int(xk) for xk in w.minima] for g in grid.tolist()
-        ]
-        return _exact_pf_solve(w, qp, offsets)
-
-    bracket = qp.bracket
-    points = grid.tolist()
-    matrix = np.array([[1.0 / bracket(g - xk) for xk in w.minima] for g in points])
-    rhs = np.array(
-        [
-            math.prod(bracket(g - yj) for yj in w.maxima)
-            / math.prod(bracket(g - xk) for xk in w.minima)
-            for g in points
-        ]
-    )
-
-    try:
-        if grid.size == m + 1:
-            solution = np.linalg.solve(matrix, rhs)
-        else:
-            solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"partial-fraction system is singular on grid {x_grid}"
-        ) from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError(
-            f"partial-fraction solve produced non-finite weights on grid {x_grid}"
-        )
     return tuple(float(v) for v in solution)
 
 

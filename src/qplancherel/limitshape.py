@@ -48,7 +48,7 @@ def classical_r(x: float) -> float:
     return 2.0 / (x + math.sqrt(x * x - 4.0))
 
 
-def solve_r_omega(x: float, qp: QParam, xtol: float | None = None) -> float:
+def solve_r_omega(x: float, qp: QParam) -> float:
     """Root of R (1 - q^(x - c R)) = (1 - q) on the physical branch.
 
     Safeguarded bracketing: the left end (1 - q)/2 always lies below the
@@ -92,9 +92,7 @@ def solve_r_omega(x: float, qp: QParam, xtol: float | None = None) -> float:
         hi = min(2.0 * hi, r_hump)
         if hi == r_hump:
             break
-    if xtol is None:
-        xtol = 1e-15 * one_minus_q
-    return float(brentq(defect, lo, hi, xtol=xtol, rtol=_BRENTQ_RTOL))
+    return float(brentq(defect, lo, hi, xtol=1e-15 * one_minus_q, rtol=_BRENTQ_RTOL))
 
 
 def _fsum_or_inf(terms) -> float:
@@ -158,8 +156,9 @@ def _r_scaled(u: float, rho: float) -> float:
     return rho * solve_r_omega(u, q_param) / (1.0 - q_param.q)
 
 
-def automodel_pde_residual(u: float, rho: float, step: float = 1e-4) -> float:
+def automodel_pde_residual(u: float, rho: float) -> float:
     """Central-difference defect of 2 r r_u - u r_u + rho r_rho - r = 0."""
+    step = 1e-4
     r = _r_scaled(u, rho)
     r_u = (_r_scaled(u + step, rho) - _r_scaled(u - step, rho)) / (2 * step)
     r_rho = (_r_scaled(u, rho + step) - _r_scaled(u, rho - step)) / (2 * step)

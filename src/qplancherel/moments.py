@@ -68,9 +68,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return math.fsum(self.weights)
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return all(v > 0 for v in self.weights) and abs(self.total_mass - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class MomentVector:
@@ -230,9 +227,9 @@ def markov_krein_residual(
     w: InterlacingDiagram,
     mu: DiscreteMeasure,
     qp: QParam,
-    x_grid,
+    points,
 ) -> float:
-    """Largest deviation, over the grid, between the two R-function routes.
+    """Largest deviation, over ``points``, between the two R-function routes.
 
     Checks both the direct equality of :func:`r_diagram` and
     :func:`r_measure` and the exp/log pairing of the atom sum with the
@@ -240,11 +237,11 @@ def markov_krein_residual(
 
         sum_i w_i / [x - s_i]_q = exp( sum tau_j ln 1/[x - t_j]_q ).
 
-    The grid must lie above the support.
+    The points must lie above the support.
     """
     tau = rayleigh_measure(w)
     worst = 0.0
-    for x in x_grid:
+    for x in points:
         atom_sum = r_measure(mu, qp, x)
         log_form = math.exp(
             -math.fsum(

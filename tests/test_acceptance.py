@@ -82,7 +82,7 @@ def test_criterion_2_kernel_oracle(finish):
 
 def test_criterion_3_pushforward(finish):
     # total variation between the biased shape law and the measure
-    worst, tol, elapsed = run_check("pushforward", top=8)
+    worst, tol, elapsed = run_check("pushforward", top=20)
     ok = worst < tol and elapsed < 60.0
     finish(
         3,

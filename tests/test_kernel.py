@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qplancherel import (
     Partition,
     QParam,
+    deform,
     enumerate_level,
     grow_trajectory,
     partial_fraction_weights,
@@ -60,19 +61,27 @@ def test_weights_positive_sum_one(lam, q):
 
 
 def test_oracle_grid_examples():
+    # the rational solve rounds each weight once, so these hold exactly
+    half = QParam(0.5)
     w = to_interlacing(Partition((1,)))
-    mu = partial_fraction_weights(w, QParam(0.5), (3.0, 4.0))
-    assert mu == pytest.approx((1 / 3, 2 / 3), abs=1e-10)
+    assert partial_fraction_weights(w, half) == (1 / 3, 2 / 3)
     w = to_interlacing(Partition((2, 1)))
-    direct = transition_weights(w, QParam(0.5))
-    solved = partial_fraction_weights(w, QParam(0.5), (5.0, 6.0, 7.0))
-    assert solved == pytest.approx(direct, abs=1e-10)
-    assert partial_fraction_weights(to_interlacing(Partition(())), QParam(0.5)) == (
-        pytest.approx(1.0, abs=1e-12),
-    )
+    assert partial_fraction_weights(w, half) == (7 / 45, 10 / 45, 28 / 45)
+    assert partial_fraction_weights(w, QParam(1.0)) == (0.375, 0.25, 0.375)
+    assert partial_fraction_weights(to_interlacing(Partition(())), half) == (1.0,)
 
 
-@pytest.mark.parametrize("q", [0.3, 0.7, 0.95, 1.0])
+def test_oracle_rejects_non_integer_diagram():
+    # a deformed profile has real corners; the oracle must not truncate them
+    qp = QParam(0.5)
+    base = to_interlacing(Partition((2, 1)))
+    moved = deform(base, transition_weights(base, qp), 0.01).diagram
+    with pytest.raises(ValueError, match="integer corner"):
+        partial_fraction_weights(moved, qp)
+
+
+# q = 0.1 is where a floating solve on the far-field grid loses the weights
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.7, 0.95, 1.0])
 def test_oracle_equivalence(q):
     qp = QParam(q)
     for lam in random_partitions(60, 25, seed=10_000 + int(q * 100)):
@@ -80,22 +89,6 @@ def test_oracle_equivalence(q):
         direct = transition_weights(w, qp)
         solved = partial_fraction_weights(w, qp)
         assert max(abs(a - b) for a, b in zip(direct, solved)) < 1e-12
-
-
-def test_float_grid_path():
-    # non-integer grids take the floating solve, over-determined included
-    w = to_interlacing(Partition((2, 1)))
-    direct = transition_weights(w, QParam(0.5))
-    solved = partial_fraction_weights(w, QParam(0.5), (4.5, 5.5, 6.5, 7.25))
-    assert solved == pytest.approx(direct, abs=1e-9)
-
-
-def test_grid_validation():
-    w = to_interlacing(Partition((2, 1)))
-    with pytest.raises(ValueError):
-        partial_fraction_weights(w, QParam(0.5), (5.0,))
-    with pytest.raises(ValueError):
-        partial_fraction_weights(w, QParam(0.5), (2.5, 6.0, 7.0))
 
 
 def test_classical_continuity():

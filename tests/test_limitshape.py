@@ -162,11 +162,11 @@ class TestAutomodel:
         assert automodel_residual(u, rho) < 1e-10
 
     def test_pde_residual_at_log_two(self):
-        assert automodel_pde_residual(4.0, math.log(2.0), step=1e-4) < 1e-6
+        assert automodel_pde_residual(4.0, math.log(2.0)) < 1e-6
 
     def test_pde_residual_small_rho_matches_classical_equation(self):
         # rho -> 0: the PDE collapses to 2 r r' - u r' - r = 0
-        assert automodel_pde_residual(4.0, 1e-3, step=1e-4) < 1e-5
+        assert automodel_pde_residual(4.0, 1e-3) < 1e-5
 
     def test_classical_ode_from_closed_form(self):
         # independent check of the rho -> 0 target itself

@@ -42,7 +42,6 @@ def test_discrete_measure_validation():
         DiscreteMeasure((0.0,), (0.5, 0.5))  # length mismatch
     mu = DiscreteMeasure((-1.0, 1.0), (0.25, 0.75))
     assert mu.total_mass == pytest.approx(1.0)
-    assert mu.is_probability
 
 
 def test_transition_measure_single_box():
