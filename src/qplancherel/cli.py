@@ -14,6 +14,7 @@ range).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -239,8 +240,6 @@ def run_simulate(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("simulate needs n >= 1")
     qp = QParam(config.q)
-    if qp.is_classical:
-        raise ConfigError("simulate needs q in (0, 1)")
     samples = growth.simulate_rescaled(
         config.n, qp, config.trials, config.moments, config.seed
     )
@@ -293,24 +292,19 @@ def run_simulate(config: RunConfig) -> int:
 
 def run_limit_shape(config: RunConfig) -> int:
     qp = QParam(config.q)
-    if qp.is_classical:
-        raise ConfigError("limit-shape needs q in (0, 1)")
-
-    x_lo = None
-    for candidate in range(1, 64):
-        try:
-            limitshape.solve_r_omega(float(candidate), qp)
-        except limitshape.BracketingError:
-            continue
-        x_lo = candidate
-        break
-    if x_lo is None:
-        raise ConfigError(f"no admissible integer x found for q = {config.q}")
-    xs = [float(x_lo + j) for j in range(25)]
-    rs = [limitshape.solve_r_omega(x, qp) for x in xs]
-
+    # the moments overflow first as q -> 0; past that, the first
+    # admissible integer x lies near ln(1/q) + 2
     p_limit = dynamics.limit_moments(qp, config.moments)
     h_limit = limitshape.series_h_omega(qp, config.moments)
+
+    for x_lo in itertools.count(1):
+        try:
+            limitshape.solve_r_omega(float(x_lo), qp)
+        except limitshape.BracketingError:
+            continue
+        break
+    xs = [float(x_lo + j) for j in range(25)]
+    rs = [limitshape.solve_r_omega(x, qp) for x in xs]
 
     if config.format == "json":
         payload = {

@@ -139,11 +139,6 @@ class Partition:
         """Partitions covered by ``self`` in the Young lattice."""
         return [self.remove_box(k) for k in range(len(self.removable_rows()))]
 
-    def contains(self, other: "Partition") -> bool:
-        if other.length > self.length:
-            return False
-        return all(self.parts[i] >= other.parts[i] for i in range(other.length))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -240,10 +235,6 @@ class InterlacingDiagram:
             raise ValueError(f"sequences do not strictly interlace: {merged}")
 
     @property
-    def center(self) -> float:
-        return sum(self.minima) - sum(self.maxima)
-
-    @property
     def area(self) -> float:
         """Area between the profile and its asymptotes, (sum x^2 - sum y^2)/2.
 
@@ -252,10 +243,6 @@ class InterlacingDiagram:
         return (
             sum(x * x for x in self.minima) - sum(y * y for y in self.maxima)
         ) / 2
-
-    @property
-    def support_min(self) -> float:
-        return self.minima[0]
 
     @property
     def support_max(self) -> float:

@@ -24,20 +24,22 @@ The chain runs in a corner walk that advances all trials of a run in
 lockstep.  Each trial is a row over a window of contents holding the
 corner kind (+1 at a minimum, -1 at a maximum, 0 elsewhere) and the
 log-weight L[c] = sum_j T[c - y_j] - sum_i T[c - x_i], where
-T[d] = log|1 - q^d| and T[0] = 0; at a minimum, exp(L) is its transition
-weight.  Growing a box at the minimum c changes the kinds by the stencil
-(+1, -2, +1) at c - 1, c, c + 1 whatever the neighbors were, so L gains
-one fixed kernel K[d] = 2 T[d] - T[d - 1] - T[d + 1] shifted to c.  A
-step is therefore a masked exp and cumsum per row, an inverse-CDF pick
-(the first minimum whose running sum reaches u times the total), one
-row add and three integer writes.  T is built in log space, so no power
-of q overflows.  The window doubles when a minimum comes within one
-column of its edge, and then L is summed afresh from the corners.  Every
-512 steps L is also summed afresh and the normalized weights of both are
-compared: a difference beyond rtol 1e-8 raises RuntimeError, otherwise
-the fresh sums replace the incremental ones.  :func:`kernel.grow_trajectory`
-is the slow reference chain; it consumes the same variates and visits
-the same shapes.
+T[d] = log|[d]_q| and T[0] = 0; at a minimum, exp(L) is its transition
+weight, at q = 1 as at q < 1.  Growing a box at the minimum c changes
+the kinds by the stencil (+1, -2, +1) at c - 1, c, c + 1 whatever the
+neighbors were, so L gains one fixed kernel
+K[d] = 2 T[d] - T[d - 1] - T[d + 1] shifted to c.  A step is therefore
+a masked exp and cumsum per row, an inverse-CDF pick (the first minimum
+whose running sum reaches u times the total), one row add and three
+integer writes.  T is built in log space from [|d|]_q and the factor
+q^d of a negative d, so no power of q overflows.  The window doubles
+when a minimum comes within one column of its edge, and then L is
+summed afresh from the corners.  Every 512 steps L is also summed
+afresh and the normalized weights of both are compared: a difference
+beyond rtol 1e-8 raises RuntimeError, otherwise the fresh sums replace
+the incremental ones.  :func:`kernel.grow_trajectory` is the slow
+reference chain; it consumes the same variates and visits the same
+shapes.
 """
 
 from __future__ import annotations
@@ -212,9 +214,7 @@ class _LockstepWalk:
     """
 
     def __init__(self, qp: QParam, trials: int) -> None:
-        if qp.is_classical:
-            raise ValueError("the corner walk runs at q in (0, 1)")
-        self.rho = qp.log_inv
+        self.qp = qp
         self.lo = -_INITIAL_WIDTH // 2
         self.kind = np.zeros((trials, _INITIAL_WIDTH), dtype=np.int8)
         self.kind[:, -self.lo] = 1
@@ -230,11 +230,11 @@ class _LockstepWalk:
     def _build_tables(self) -> None:
         width = self.width
         d = np.arange(-width, width + 1)
-        # 1 - q^d for d < 0 is -q^d (1 - q^|d|); its log stays finite
-        with np.errstate(divide="ignore"):
-            table = np.log(-np.expm1(-np.abs(d) * self.rho))
-        table += np.maximum(-d, 0) * self.rho
-        table[width] = 0.0
+        # T[d] = log|[d]_q| with T[0] = 0; [d]_q for d < 0 is
+        # -q^d [|d|]_q, so its log stays finite
+        brackets = np.array([self.qp.bracket(v) for v in range(width + 1)])
+        brackets[0] = 1.0
+        table = np.log(brackets[np.abs(d)]) + np.maximum(-d, 0) * self.qp.log_inv
         self._table = table[1:-1]  # T[d] for |d| < width
         kernel_row = 2.0 * table[1:-1] - table[:-2] - table[2:]
         # row c of this view is K[e - c] over the columns e

@@ -129,11 +129,10 @@ def series_h_omega(qp: QParam, n_max: int) -> MomentVector:
     """Limiting h-moments: coefficients of z^n in R/(1 - q) - 1, z = q^x.
 
     Differentiates the implicit equation order by order, exact up to
-    rounding for every q in (0, 1).  A coefficient beyond the double
-    range raises MomentOverflowError.
+    rounding for every q in (0, 1]; at q = 1, where rho = 0, every
+    coefficient is 1, the h-moments of the all-ones classical p-moments.
+    A coefficient beyond the double range raises MomentOverflowError.
     """
-    if qp.is_classical:
-        raise ValueError("the series in z = q^x requires q in (0, 1)")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     return MomentVector("h", tuple(_series_by_recursion(qp, n_max)))

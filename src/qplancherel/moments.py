@@ -117,9 +117,10 @@ def _qpow_neg(qp: QParam, n: int, s: float) -> float:
 
 
 def h_moments(mu: DiscreteMeasure, qp: QParam, n_max: int) -> MomentVector:
-    """h_n = sum_i w_i q^(-n s_i) for n = 1..n_max; requires 0 < q < 1."""
-    if qp.is_classical:
-        raise ValueError("q-moments require q in (0, 1)")
+    """h_n = sum_i w_i q^(-n s_i) for n = 1..n_max and q in (0, 1].
+
+    At q = 1 every h_n is the total mass of ``mu``.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     values = [

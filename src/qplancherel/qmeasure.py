@@ -69,6 +69,11 @@ class QParam:
         return -math.expm1(-d * self.log_inv) / self.one_minus_q
 
 
+def polynomial_bracket(k: int, q):
+    """[k]_q = 1 + q + ... + q^(k-1), in the arithmetic of q; k at q = 1."""
+    return sum(q**i for i in range(k))
+
+
 def _bracket_table(n: int, qp: QParam) -> list[float]:
     # [0]_q .. [n]_q: every hook bracket of a level-n shape
     return [qp.bracket(h) for h in range(n + 1)]
@@ -100,25 +105,25 @@ def q_measure(partition: Partition, qp: QParam) -> float:
 
 
 def q_measure_exact(partition: Partition, q: Fraction) -> Fraction:
-    """The same measure in exact rational arithmetic, for rational q."""
-    if not (0 < q < 1):
-        raise ValueError(f"exact evaluation needs q in (0, 1), got {q}")
-    n = partition.size
+    """The same measure in exact rational arithmetic, for rational q in (0, 1].
+
+    Each [h]_q is the polynomial bracket, so q = 1 gives dim^2 / n!.
+    """
+    if not (0 < q <= 1):
+        raise ValueError(f"exact evaluation needs q in (0, 1], got {q}")
     data = hook_data(partition)
-    value = Fraction(data.dim) * q**data.b_stat * (1 - q) ** n
+    value = Fraction(data.dim) * q**data.b_stat
     for h in data.hooks:
-        value /= 1 - q**h
+        value /= polynomial_bracket(h, q)
     return value
 
 
 def harmonic(partition: Partition, qp: QParam) -> float:
     """The harmonic function phi_q; q_measure = dim * harmonic.
 
-    Defined for 0 < q < 1 only; the classical specialization of phi is
-    a different normalization and is not provided here.
+    Defined for every q in (0, 1]; at q = 1 it is the classical
+    harmonic function 1 / prod_u h(u) = dim / n!.
     """
-    if qp.is_classical:
-        raise ValueError("harmonic function requires q in (0, 1)")
     return _hook_weight(hook_data(partition), qp, _bracket_table(partition.size, qp))
 
 

@@ -20,6 +20,7 @@ from functools import cache
 import numpy as np
 
 from .diagrams import CapacityError, Partition, hook_data, max_level
+from .qmeasure import polynomial_bracket
 
 _MAX_PUSHFORWARD_N = 20
 
@@ -205,9 +206,9 @@ def poincare_polynomial(n: int, q):
 
     Works for float or Fraction q; this is the total q^MAJ mass of S(n).
     """
-    value = q**0 if hasattr(q, "__pow__") else 1
+    value = q**0
     for k in range(2, n + 1):
-        value = value * sum(q**i for i in range(k))
+        value = value * polynomial_bracket(k, q)
     return value
 
 
@@ -243,20 +244,19 @@ def tableau_genfun_check(shape: Partition, qp_or_q):
 
     The sum is read off :func:`maj_distribution`, whose counts are
     dim(shape) times the tableau counts.  The closed form is
-    q^b(shape) * [n]! / prod_u [h(u)] with [k] = 1 - q^k.  Returns the
+    q^b(shape) * [n]_q! / prod_u [h(u)]_q in polynomial brackets, for q
+    in (0, 1]; at q = 1 both sides are dim(shape).  Returns the
     difference, which vanishes up to rounding; passing a Fraction keeps
     the arithmetic exact and the result is exactly zero.
     """
     q = getattr(qp_or_q, "q", qp_or_q)
-    if not (0 < q < 1):
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    if not (0 < q <= 1):
+        raise ValueError(f"q must lie in (0, 1], got {q}")
     n = shape.size
     data = hook_data(shape)
     terms = [(c // data.dim) * q**m for m, c in maj_distribution(n)[shape]]
     lhs = sum(terms) if isinstance(q, Fraction) else math.fsum(terms)
-    rhs = q**data.b_stat
-    for k in range(1, n + 1):
-        rhs *= 1 - q**k
+    rhs = q**data.b_stat * poincare_polynomial(n, q)
     for h in data.hooks:
-        rhs /= 1 - q**h
+        rhs /= polynomial_bracket(h, q)
     return lhs - rhs

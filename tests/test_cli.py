@@ -113,13 +113,23 @@ class TestExitCodes:
         assert main(["simulate", "--trials", "0"]) == EXIT_CONFIG
         capsys.readouterr()
 
-    def test_limit_shape_needs_deformed_parameter(self, capsys):
-        assert main(["limit-shape", "--q", "1.0"]) == EXIT_CONFIG
-        capsys.readouterr()
+    def test_limit_shape_classical_parameter(self, capsys):
+        argv = ["limit-shape", "--q", "1.0", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["r_table"][0]["x"] == 2.0
+        for row in payload["r_table"]:
+            assert row["r"] == limitshape.classical_r(row["x"])
+        assert all(row["p"] == row["h"] == 1.0 for row in payload["moments"])
 
-    def test_simulate_needs_deformed_parameter(self, capsys):
-        assert main(["simulate", "--q", "1.0"]) == EXIT_CONFIG
-        assert "simulate needs q in (0, 1)" in capsys.readouterr().err
+    def test_simulate_classical_parameter(self, capsys):
+        argv = ["simulate", "--q", "1.0", "--n", "30", "--trials", "4"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        for trajectory in payload["trajectories"]:
+            assert sum(trajectory["shape"]) == 30
+            assert trajectory["moments"] == [1.0, 1.0, 1.0]
+        assert payload["summary"]["targets"] == [1.0, 1.0, 1.0]
 
     def test_moment_overflow_is_capacity_error(self, capsys):
         # the flow target p_3 at q = 1e-8 is beyond the double range
@@ -128,6 +138,9 @@ class TestExitCodes:
         assert "capacity error" in capsys.readouterr().err
         assert main(["limit-shape", "--q", "1e-5", "--moments", "6"]) == EXIT_CAPACITY
         assert "p_6" in capsys.readouterr().err
+        # a valid q whose first moment overflows, not a bad configuration
+        assert main(["limit-shape", "--q", "3e-28"]) == EXIT_CAPACITY
+        assert "p_1" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, capsys):
         code = main(["pushforward", "--n", "3", "--out", "/nonexistent/d/f.csv"])

@@ -223,11 +223,11 @@ class TestCornerWalk:
     def test_matches_reference_chain(self, seed):
         # the incremental walk and the straightforward chain consume
         # the same variates and must visit the same shapes
-        qp = QParam(0.55)
         n = 60
-        reference = kernel.grow_trajectory(n, qp, seed)
-        walk = _walk(qp, [0], n, seed)
-        assert from_interlacing(walk.diagram(0)) == reference.final
+        for qp in (QParam(0.55), QParam(1.0)):
+            reference = kernel.grow_trajectory(n, qp, seed)
+            walk = _walk(qp, [0], n, seed)
+            assert from_interlacing(walk.diagram(0)) == reference.final
 
     def test_incremental_weights_match_product(self):
         qp = QParam(0.5)
@@ -236,21 +236,27 @@ class TestCornerWalk:
         for a, b in zip(walk.weights(0), direct):
             assert a == pytest.approx(b, abs=1e-10)
 
-    def test_classical_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            _LockstepWalk(QParam(1.0), 1)
+    def test_classical_weights_match_product(self):
+        # at q = 1 the walk's weights are the classical Plancherel ones
+        qp = QParam(1.0)
+        walk = _walk(qp, [0], 300, seed=7)
+        direct = kernel.transition_weights(walk.diagram(0), qp)
+        for a, b in zip(walk.weights(0), direct):
+            assert a == pytest.approx(b, abs=1e-14)
 
     def test_regrown_window_matches_reference_chain(self):
-        # 600 steps: the first rows outgrow the initial window twice and
-        # the walk passes one drift check; every trial of the batch still
+        # 600 steps: the first rows outgrow the initial window twice at
+        # q = 0.55 (once at q = 1, where the shape is balanced) and the
+        # walk passes one drift check; every trial of the batch still
         # follows its own reference chain
-        qp = QParam(0.55)
         n = 600
-        walk = _walk(qp, range(3), n, seed=3)
-        assert walk.width > 2 * _INITIAL_WIDTH
-        for stream in range(3):
-            reference = kernel.grow_trajectory(n, qp, 3, stream)
-            assert from_interlacing(walk.diagram(stream)) == reference.final
+        for q, outgrown in ((0.55, 2 * _INITIAL_WIDTH), (1.0, _INITIAL_WIDTH)):
+            qp = QParam(q)
+            walk = _walk(qp, range(3), n, seed=3)
+            assert walk.width > outgrown
+            for stream in range(3):
+                reference = kernel.grow_trajectory(n, qp, 3, stream)
+                assert from_interlacing(walk.diagram(stream)) == reference.final
 
     def test_drift_check_catches_corrupted_weight(self):
         qp = QParam(0.5)
@@ -283,11 +289,15 @@ def _maj_slot(perm, k):
 def _maj_biased_permutation(n, q, rng):
     # Insert 1..n in turn; Z_i = sum_{k<i} q^k factors the q^MAJ mass,
     # so a truncated-geometric increment per insertion samples q^MAJ.
+    # At q = 1 the increment is uniform.
     perm = []
     log_q = math.log(q)
     for i in range(1, n + 1):
         u = rng.random()
-        k = int(math.log1p(u * math.expm1(i * log_q)) / log_q)
+        if log_q == 0.0:
+            k = int(u * i)
+        else:
+            k = int(math.log1p(u * math.expm1(i * log_q)) / log_q)
         perm.insert(_maj_slot(perm, min(k, i - 1)), i)
     return tuple(perm)
 
@@ -328,7 +338,7 @@ class TestMajOracle:
                 slots.add(s)
             assert len(slots) == n
 
-    @pytest.mark.parametrize("n,q", [(50, 0.8), (200, 0.95)])
+    @pytest.mark.parametrize("n,q", [(50, 0.8), (200, 0.95), (200, 1.0)])
     def test_walk_shapes_match_rsk_shapes(self, n, q):
         for ours, theirs in zip(_walk_statistics(n, q), _rsk_statistics(n, q)):
             assert ks_2samp(ours, theirs).pvalue > 0.001

@@ -96,7 +96,7 @@ class TestSeriesHOmega:
             math.exp(qp.log_inv**2), rel=1e-12
         )
 
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 1.0])
     def test_moment_agreement_with_flow(self, q):
         # central cross-module check: series coefficients equal the
         # h-moments obtained from the integrated moment flow
@@ -111,6 +111,7 @@ class TestSeriesHOmega:
         h = series_h_omega(QParam(1.0 - 1e-8), 5)
         for v in h.values:
             assert v == pytest.approx(1.0, abs=1e-6)
+        assert series_h_omega(QParam(1.0), 5).values == (1.0,) * 5
 
     def test_overflow_raises(self):
         # h_8 at q = 1e-4 is beyond the double range; h_7 is not
@@ -121,8 +122,6 @@ class TestSeriesHOmega:
             series_h_omega(QParam(1e-14), 3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            series_h_omega(QParam(1.0), 3)
         with pytest.raises(ValueError):
             series_h_omega(QParam(0.5), 0)
 

@@ -162,7 +162,7 @@ def test_moment_overflow_guard():
         p_moments(w, qp, 10)
 
 
-def test_h_moments_needs_deformed_parameter():
-    mu = DiscreteMeasure((0.0,), (1.0,))
-    with pytest.raises(ValueError):
-        h_moments(mu, QParam(1.0), 3)
+def test_h_moments_classical_total_mass():
+    # q^(-n s) = 1 at q = 1, so every h_n is the total mass
+    mu = DiscreteMeasure((-2.0, 0.5, 3.0), (0.25, 0.5, 0.75))
+    assert h_moments(mu, QParam(1.0), 3).values == (1.5, 1.5, 1.5)

@@ -59,23 +59,28 @@ def test_normalization(q):
 
 
 def test_exact_normalization():
-    q = Fraction(2, 7)
-    for n in range(9):
-        total = sum(q_measure_exact(lam, q) for lam in enumerate_level(n))
-        assert total == 1
+    for q in (Fraction(2, 7), Fraction(1)):
+        for n in range(9):
+            total = sum(q_measure_exact(lam, q) for lam in enumerate_level(n))
+            assert total == 1
 
 
 @settings(max_examples=40)
-@given(partitions(min_boxes=1, max_boxes=14), st.sampled_from([0.2, 0.5, 0.8]))
+@given(partitions(min_boxes=1, max_boxes=14), st.sampled_from([0.2, 0.5, 0.8, 1.0]))
 def test_measure_is_dim_times_harmonic(lam, q):
     qp = QParam(q)
     expected = hook_data(lam).dim * harmonic(lam, qp)
     assert q_measure(lam, qp) == pytest.approx(expected, rel=1e-12)
 
 
-def test_harmonic_classical_raises():
-    with pytest.raises(ValueError):
-        harmonic(Partition((1,)), QParam(1.0))
+def test_harmonic_classical_value():
+    # phi_1 = dim / n!, harmonic: phi(lam) = sum of phi over the covers
+    qp = QParam(1.0)
+    for lam in enumerate_level(5):
+        phi = harmonic(lam, qp)
+        assert phi == pytest.approx(hook_data(lam).dim / math.factorial(5), rel=1e-15)
+        covers = math.fsum(harmonic(cover, qp) for cover in lam.successors())
+        assert covers == pytest.approx(phi, rel=1e-14)
 
 
 def test_classical_limit():

@@ -155,13 +155,14 @@ def test_tableau_count_matches_dim(lam):
 
 
 @settings(max_examples=20, deadline=None)
-@given(partitions(min_boxes=1, max_boxes=10), st.sampled_from([0.3, 0.5, 0.8]))
+@given(partitions(min_boxes=1, max_boxes=10), st.sampled_from([0.3, 0.5, 0.8, 1.0]))
 def test_tableau_generating_function(lam, q):
     assert abs(tableau_genfun_check(lam, QParam(q))) < 1e-10
 
 
 def test_tableau_generating_function_exact():
     assert tableau_genfun_check(Partition((2, 1)), Fraction(1, 2)) == 0
+    assert tableau_genfun_check(Partition((2, 1)), Fraction(1)) == 0
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 1.0])
