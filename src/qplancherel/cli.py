@@ -1,10 +1,14 @@
 """Command-line front end: verify, simulate, limit-shape, pushforward.
 
 Configuration is resolved in three layers: built-in defaults, then a
-flat key=value config file (``--config``), then explicit flags.  Every
-run embeds its full resolved configuration in the output header as
+flat key=value config file (``--config``), then explicit flags.  The
+ordered table ``_SETTINGS`` is the one list of settings: it makes the
+flags, types the config-file values and writes the header.  Every run
+embeds its full resolved configuration in the output header as
 ``# key=value`` lines, and those lines are themselves acceptable as a
 config file, so a saved CSV header reproduces its run byte for byte.
+Each command builds its JSON payload and its CSV rows and hands both to
+``_emit``, the one writer of both formats.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 configuration
 error, 3 capacity exceeded (including moments beyond the floating-point
@@ -30,6 +34,19 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
+
+# every setting with its type, in header order; RunConfig holds the defaults
+_SETTINGS = {
+    "q": float,
+    "n": int,
+    "trials": int,
+    "moments": int,
+    "seed": int,
+    "format": str,
+    "out": str,
+}
+_IGNORED_KEYS = {"schema", "command"}
+_TOLERANCE_KEYS = {f"tol_{name}" for name in checks.CHECKS}
 
 
 class ConfigError(ValueError):
@@ -70,26 +87,16 @@ class RunConfig:
                 raise ConfigError(f"tolerance {key} must be finite and positive, got {value}")
 
     def header_items(self) -> list[tuple[str, str]]:
-        items = [
-            ("schema", SCHEMA),
-            ("command", self.command),
-            ("q", _fmt(self.q)),
-            ("n", str(self.n)),
-            ("trials", str(self.trials)),
-            ("moments", str(self.moments)),
-            ("seed", str(self.seed)),
-            ("format", self.format),
-        ]
+        """Every setting but ``out``, then the tolerance overrides."""
+        items = [("schema", SCHEMA), ("command", self.command)]
+        for key, kind in _SETTINGS.items():
+            # the output path does not change the report
+            if key != "out":
+                value = getattr(self, key)
+                items.append((key, _fmt(value) if kind is float else str(value)))
         for key in sorted(self.tolerances):
             items.append((key, _fmt(self.tolerances[key])))
         return items
-
-
-_INT_KEYS = {"n", "trials", "moments", "seed"}
-_FLOAT_KEYS = {"q"}
-_STR_KEYS = {"format", "out"}
-_IGNORED_KEYS = {"schema", "command"}
-_TOLERANCE_KEYS = {f"tol_{name}" for name in checks.CHECKS}
 
 
 def parse_config_file(path: str) -> dict:
@@ -118,25 +125,18 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if key in _IGNORED_KEYS:
             continue
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-        elif key in _STR_KEYS:
-            values[key] = value
-        elif key in _TOLERANCE_KEYS:
-            try:
-                values.setdefault("tolerances", {})[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-        else:
+        if key not in _SETTINGS and key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        kind = _SETTINGS.get(key, float)
+        try:
+            parsed = kind(value)
+        except ValueError as exc:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
+        if key in _TOLERANCE_KEYS:
+            values.setdefault("tolerances", {})[key] = parsed
+        else:
+            values[key] = parsed
     return values
 
 
@@ -173,11 +173,19 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _csv_header(config: RunConfig) -> list[str]:
-    return [f"# {key}={value}" for key, value in config.header_items()]
+def _emit(config: RunConfig, payload: dict, rows: list[str]) -> None:
+    """Write one report to ``--out`` or stdout, under the configuration.
 
-
-def _emit(text: str, config: RunConfig) -> None:
+    JSON puts ``schema`` and ``config`` ahead of ``payload``; CSV puts
+    the ``# key=value`` header lines ahead of ``rows``.
+    """
+    if config.format == "json":
+        header = {"schema": SCHEMA, "config": dict(config.header_items())}
+        text = _json_text({**header, **payload})
+    else:
+        header = [f"# {key}={value}" for key, value in config.header_items()]
+        text = "\n".join(header + rows)
+    text += "\n"
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -188,49 +196,36 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    max_error: float
-    tolerance: float
-    passed: bool
+def _csv_row(*cells) -> str:
+    """One CSV line; a list cell is a shape, written as its space-separated parts."""
+    texts = []
+    for cell in cells:
+        if isinstance(cell, float):
+            texts.append(_fmt(cell))
+        elif isinstance(cell, bool):
+            texts.append(str(cell).lower())
+        elif isinstance(cell, list):
+            texts.append(" ".join(str(part) for part in cell))
+        else:
+            texts.append(str(cell))
+    return ",".join(texts)
 
 
 def run_verify(config: RunConfig) -> int:
-    results = []
+    suites = []
     for name, (check, default_tol) in checks.CHECKS.items():
         tol = config.tolerances.get(f"tol_{name}", default_tol)
         worst = check()
-        results.append(SuiteResult(name, worst, tol, worst < tol))
-    passed = all(r.passed for r in results)
-
-    if config.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": dict(config.header_items()),
-            "suites": [
-                {
-                    "name": r.name,
-                    "max_error": r.max_error,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in results
-            ],
-            "passed": passed,
-        }
-        _emit(_json_text(payload) + "\n", config)
-    else:
-        lines = _csv_header(config)
-        lines.append("suite,max_error,tolerance,passed")
-        for r in results:
-            lines.append(
-                f"{r.name},{_fmt(r.max_error)},{_fmt(r.tolerance)},{str(r.passed).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", config)
+        suites.append(
+            {"name": name, "max_error": worst, "tolerance": tol, "passed": worst < tol}
+        )
+    passed = all(s["passed"] for s in suites)
+    rows = ["suite,max_error,tolerance,passed"]
+    rows += [_csv_row(*s.values()) for s in suites]
+    _emit(config, {"suites": suites, "passed": passed}, rows)
 
     if not passed:
-        first = next(r.name for r in results if not r.passed)
+        first = next(s["name"] for s in suites if not s["passed"])
         print(f"verify: FAIL {first}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -240,6 +235,9 @@ def run_simulate(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("simulate needs n >= 1")
     qp = QParam(config.q)
+    # a flow target beyond the double range is a capacity error; find it
+    # before the walk rather than after
+    dynamics.limit_moments(qp, config.moments)
     samples = growth.simulate_rescaled(
         config.n, qp, config.trials, config.moments, config.seed
     )
@@ -247,46 +245,32 @@ def run_simulate(config: RunConfig) -> int:
         samples, config.n, qp, config.moments, config.seed
     )
 
-    if config.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": dict(config.header_items()),
-            "trajectories": [
-                {
-                    "trial": s.trial,
-                    "shape": list(s.shape.parts),
-                    "moments": list(s.moments),
-                }
-                for s in samples
-            ],
-            "summary": {
-                "n": report.n_boxes,
-                "q": report.q,
-                "trials": report.trials,
-                "seed": report.seed,
-                "moments": list(report.means),
-                "stderr": list(report.stderrs),
-                "targets": list(report.targets),
-            },
-        }
-        _emit(_json_text(payload) + "\n", config)
-    else:
-        lines = _csv_header(config)
-        columns = ["trial", "shape"] + [
-            f"p{n}" for n in range(1, config.moments + 1)
-        ]
-        lines.append(",".join(columns))
-        for s in samples:
-            shape_text = " ".join(str(p) for p in s.shape.parts)
-            row = [str(s.trial), shape_text] + [_fmt(v) for v in s.moments]
-            lines.append(",".join(row))
-        for n in range(1, config.moments + 1):
-            lines.append(
-                f"## summary p{n}: mean={_fmt(report.means[n - 1])} "
-                f"stderr={_fmt(report.stderrs[n - 1])} "
-                f"target={_fmt(report.targets[n - 1])}"
-            )
-        _emit("\n".join(lines) + "\n", config)
+    trajectories = [
+        {"trial": s.trial, "shape": list(s.shape.parts), "moments": list(s.moments)}
+        for s in samples
+    ]
+    payload = {
+        "trajectories": trajectories,
+        "summary": {
+            "n": report.n_boxes,
+            "q": report.q,
+            "trials": report.trials,
+            "seed": report.seed,
+            "moments": list(report.means),
+            "stderr": list(report.stderrs),
+            "targets": list(report.targets),
+        },
+    }
+    columns = ["trial", "shape"] + [f"p{n}" for n in range(1, config.moments + 1)]
+    rows = [",".join(columns)]
+    rows += [_csv_row(t["trial"], t["shape"], *t["moments"]) for t in trajectories]
+    summary = zip(report.means, report.stderrs, report.targets)
+    for n, (mean, stderr, target) in enumerate(summary, start=1):
+        rows.append(
+            f"## summary p{n}: mean={_fmt(mean)} stderr={_fmt(stderr)} "
+            f"target={_fmt(target)}"
+        )
+    _emit(config, payload, rows)
     return EXIT_OK
 
 
@@ -304,36 +288,16 @@ def run_limit_shape(config: RunConfig) -> int:
             continue
         break
     xs = [float(x_lo + j) for j in range(25)]
-    rs = [limitshape.solve_r_omega(x, qp) for x in xs]
-
-    if config.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": dict(config.header_items()),
-            "r_table": [{"x": x, "r": r} for x, r in zip(xs, rs)],
-            "moments": [
-                {
-                    "n": n,
-                    "p": p_limit.moment(n),
-                    "h": h_limit.moment(n),
-                }
-                for n in range(1, config.moments + 1)
-            ],
-        }
-        _emit(_json_text(payload) + "\n", config)
-    else:
-        lines = _csv_header(config)
-        lines.append("## table=r")
-        lines.append("x,r")
-        for x, r in zip(xs, rs):
-            lines.append(f"{_fmt(x)},{_fmt(r)}")
-        lines.append("## table=moments")
-        lines.append("n,p,h")
-        for n in range(1, config.moments + 1):
-            lines.append(
-                f"{n},{_fmt(p_limit.moment(n))},{_fmt(h_limit.moment(n))}"
-            )
-        _emit("\n".join(lines) + "\n", config)
+    r_table = [{"x": x, "r": limitshape.solve_r_omega(x, qp)} for x in xs]
+    moment_table = [
+        {"n": n, "p": p_limit.moment(n), "h": h_limit.moment(n)}
+        for n in range(1, config.moments + 1)
+    ]
+    rows = ["## table=r", "x,r"]
+    rows += [_csv_row(*row.values()) for row in r_table]
+    rows += ["## table=moments", "n,p,h"]
+    rows += [_csv_row(*row.values()) for row in moment_table]
+    _emit(config, {"r_table": r_table, "moments": moment_table}, rows)
     return EXIT_OK
 
 
@@ -341,31 +305,17 @@ def run_pushforward(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("pushforward needs n >= 1")
     qp = QParam(config.q)
-    probs = rsk.pushforward_exact(config.n, config.q)
-
-    if config.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": dict(config.header_items()),
-            "distribution": [
-                {
-                    "shape": list(shape.parts),
-                    "probability": prob,
-                    "reference": qmeasure.q_measure(shape, qp),
-                }
-                for shape, prob in probs.items()
-            ],
+    distribution = [
+        {
+            "shape": list(shape.parts),
+            "probability": prob,
+            "reference": qmeasure.q_measure(shape, qp),
         }
-        _emit(_json_text(payload) + "\n", config)
-    else:
-        lines = _csv_header(config)
-        lines.append("shape,probability,reference")
-        for shape, prob in probs.items():
-            shape_text = " ".join(str(p) for p in shape.parts)
-            lines.append(
-                f"{shape_text},{_fmt(prob)},{_fmt(qmeasure.q_measure(shape, qp))}"
-            )
-        _emit("\n".join(lines) + "\n", config)
+        for shape, prob in rsk.pushforward_exact(config.n, config.q).items()
+    ]
+    rows = ["shape,probability,reference"]
+    rows += [_csv_row(*d.values()) for d in distribution]
+    _emit(config, {"distribution": distribution}, rows)
     return EXIT_OK
 
 
@@ -385,30 +335,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--q", type=float, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--moments", type=int, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--config", type=str, default=None)
+        for key, kind in _SETTINGS.items():
+            cmd.add_argument(f"--{key}", type=kind)
+        cmd.add_argument("--config")
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     if args.config is not None:
-        file_values = parse_config_file(args.config)
-        tolerances = file_values.pop("tolerances", {})
-        config = replace(config, tolerances=tolerances, **file_values)
-    overrides = {}
-    for name in ("q", "n", "trials", "moments", "seed", "format", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, **parse_config_file(args.config))
+    flags = {key: getattr(args, key) for key in _SETTINGS}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config = replace(config, **overrides)
     config.validate()
     return config
 

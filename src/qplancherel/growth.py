@@ -386,18 +386,6 @@ class McReport:
             for m, s, t, a in zip(self.means, self.stderrs, self.targets, self.abs_sums)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_boxes": self.n_boxes,
-            "q": self.q,
-            "trials": self.trials,
-            "n_moments": self.n_moments,
-            "seed": self.seed,
-            "means": list(self.means),
-            "stderrs": list(self.stderrs),
-            "targets": list(self.targets),
-        }
-
 
 def simulate_rescaled(
     n_boxes: int,
@@ -478,6 +466,11 @@ def mc_limit_experiment(
     n_max: int,
     seed: int,
 ) -> McReport:
-    """Monte Carlo check of the rescaled process against the moment flow."""
+    """Monte Carlo check of the rescaled process against the moment flow.
+
+    The flow targets are evaluated first, so a target beyond the double
+    range raises MomentOverflowError before any trajectory is walked.
+    """
+    dynamics.limit_moments(qp, n_max)
     samples = simulate_rescaled(n_boxes, qp, trials, n_max, seed)
     return report_from_samples(samples, n_boxes, qp, n_max, seed)

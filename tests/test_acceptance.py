@@ -201,7 +201,7 @@ def test_criterion_9_determinism(finish):
         for _ in range(2)
     ]
     reports_equal = reports[0] == reports[1]
-    texts = [repr(r.to_dict()) for r in reports]
+    texts = [repr(r) for r in reports]
     ok = samples_equal and reports_equal and texts[0] == texts[1]
     finish(
         9,

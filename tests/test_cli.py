@@ -131,16 +131,27 @@ class TestExitCodes:
             assert trajectory["moments"] == [1.0, 1.0, 1.0]
         assert payload["summary"]["targets"] == [1.0, 1.0, 1.0]
 
-    def test_moment_overflow_is_capacity_error(self, capsys):
-        # the flow target p_3 at q = 1e-8 is beyond the double range
+    def test_moment_overflow_is_capacity_error(self, monkeypatch, capsys):
+        # the flow target p_3 at q = 1e-8 is beyond the double range, which
+        # is found before any trajectory is walked
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before checking the flow targets")
+
+        monkeypatch.setattr(growth, "simulate_rescaled", no_walk)
         argv = ["simulate", "--q", "1e-8", "--n", "10", "--trials", "2"]
         assert main(argv) == EXIT_CAPACITY
         assert "capacity error" in capsys.readouterr().err
+        with pytest.raises(moments.MomentOverflowError, match="p_3"):
+            growth.mc_limit_experiment(10, QParam(1e-8), 2, 3, 0)
         assert main(["limit-shape", "--q", "1e-5", "--moments", "6"]) == EXIT_CAPACITY
         assert "p_6" in capsys.readouterr().err
         # a valid q whose first moment overflows, not a bad configuration
         assert main(["limit-shape", "--q", "3e-28"]) == EXIT_CAPACITY
         assert "p_1" in capsys.readouterr().err
+
+    def test_bad_format_flag(self, capsys):
+        assert main(["simulate", "--format", "xml"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, capsys):
         code = main(["pushforward", "--n", "3", "--out", "/nonexistent/d/f.csv"])
@@ -240,12 +251,6 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_saved_header_reproduces_run(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(self.ARGS + ["--out", str(a)]) == EXIT_OK
-        assert main(["simulate", "--config", str(a), "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
     def test_flags_beat_config(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("trials=5\nseed=1\n")
@@ -328,13 +333,6 @@ class TestSimulateCommand:
 
 
 class TestLimitShapeCommand:
-    def test_saved_header_reproduces_run(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["limit-shape", "--q", "0.5", "--moments", "4"]
-        assert main(args + ["--out", str(a)]) == EXIT_OK
-        assert main(["limit-shape", "--config", str(a), "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
     def test_tables_and_equation_residual(self, capsys):
         assert main(["limit-shape", "--q", "0.5", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -402,6 +400,23 @@ class TestPushforwardCommand:
         payload = json.loads(capsys.readouterr().out)
         shapes = [tuple(d["shape"]) for d in payload["distribution"]]
         assert set(shapes) == {(3,), (2, 1), (1, 1, 1)}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--q", "0.3", "--seed", "4"],
+        ["simulate", "--n", "60", "--trials", "8", "--seed", "42"],
+        ["limit-shape", "--q", "0.5", "--moments", "4"],
+        ["pushforward", "--n", "5", "--q", "0.4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_saved_header_reproduces_run(tmp_path, args):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == EXIT_OK
+    assert main([args[0], "--config", str(a), "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
 
 
 class TestFormatting:

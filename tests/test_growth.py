@@ -391,7 +391,6 @@ class TestMcLimitExperiment:
         a = mc_limit_experiment(40, qp, trials=3, n_max=2, seed=9)
         b = mc_limit_experiment(40, qp, trials=3, n_max=2, seed=9)
         assert a == b
-        assert a.to_dict() == b.to_dict()
 
     def test_single_trial_has_zero_stderr(self):
         report = mc_limit_experiment(30, QParam(0.5), 1, 2, seed=3)
