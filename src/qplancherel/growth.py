@@ -439,9 +439,16 @@ def report_from_samples(
     """Aggregate already-simulated trajectories against the moment flow."""
     trials = len(samples)
     data = np.array([s.moments for s in samples])
-    means = data.mean(axis=0)
+    # Squares of moments past ~1e154 overflow, so each column is taken at
+    # the power-of-two scale that puts its largest |value| in [0.5, 1).
+    # The scaling is exact in the normal range, so results keep the bits
+    # they have unscaled, and stderr^2 = sum (v - mean)^2 / (trials
+    # (trials - 1)) is at most max v^2, so it scales back into range.
+    exps = np.frexp(np.abs(data).max(axis=0))[1]
+    data = np.ldexp(data, -exps)
+    means = np.ldexp(data.mean(axis=0), exps)
     if trials > 1:
-        stderrs = data.std(axis=0, ddof=1) / math.sqrt(trials)
+        stderrs = np.ldexp(data.std(axis=0, ddof=1) / math.sqrt(trials), exps)
     else:
         stderrs = np.zeros(n_max)
     abs_sums = np.array([s.abs_sums for s in samples]).mean(axis=0)

@@ -8,8 +8,20 @@ which tends to d as q -> 1, the probability of growing at x_k is
          * prod_{i>k} [x_k - y_{i-1}]_q / [x_k - x_i]_q
 
 for every q in (0, 1]; at q = 1 it is the classical residue form
-prod_i (x_k - y_i) / prod_{i != k} (x_k - x_i).  The same numbers are
-the unique solution of the partial-fraction identity
+prod_i (x_k - y_i) / prod_{i != k} (x_k - x_i).  For i > k both
+arguments are negative, and [-d]_q = -q^(-d) [d]_q folds each such
+pair of signs into a power of q:
+
+    mu_k = q^(E_k) prod_{i != k} [|x_k - y|]_q / [|x_k - x_i|]_q,
+    E_k  = sum_{i>k} (x_i - y_{i-1}),
+
+with y the maximum paired with x_i above (y_i left of x_k, y_{i-1}
+right of it).  Every bracket now has a positive argument, the bracket
+grows with it and |x_k - y| < |x_k - x_i|, so each ratio lies in (0, 1)
+and q^(E_k) <= 1: the product cannot overflow, where brackets of
+negative arguments grow like q^(-d) and leave the double range at small
+q.  The same numbers are the unique solution of the partial-fraction
+identity
 
     sum_k mu_k / [x - x_k]_q = prod_i [x - y_i]_q / prod_i [x - x_i]_q,
 
@@ -38,19 +50,27 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     """Growth probabilities over the minima of ``w``, in minima order.
 
     Positive with sum 1 up to rounding; returned unnormalized, exactly
-    as the products evaluate.
+    as the products evaluate.  One array evaluation of the sign-folded
+    form of the module docstring: factor j of mu_k pairs y_j with x_j
+    left of x_k (j < k) and with x_{j+1} right of it (j >= k).  Each
+    factor is a ratio of brackets of positive distances, below 1, and
+    q^(E_k) is one power of q, at most 1, so nothing can overflow at any
+    q in (0, 1] or any real corners; the power underflows to 0 only
+    where mu_k itself is below the double range.
     """
-    x = w.minima
-    y = w.maxima
-    bracket = qp.bracket
-    out = []
-    for k, xk in enumerate(x):
-        value = 1.0
-        for i, xi in enumerate(x):
-            if i != k:
-                value *= bracket(xk - y[i if i < k else i - 1]) / bracket(xk - xi)
-        out.append(value)
-    return tuple(out)
+    x = np.array(w.minima, dtype=float)
+    y = np.array(w.maxima, dtype=float)
+    m = len(x)
+    # |x_k - x_i| with the diagonal dropped from each row, so column j
+    # holds x_j for j < k and x_{j+1} for j >= k
+    to_x = np.abs(x[:, None] - x).reshape(-1)[1:]
+    to_x = to_x.reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+    ratios = qp.bracket(np.abs(x[:, None] - y)) / qp.bracket(to_x)
+    # E_k: the gaps x_{j+1} - y_j summed over j >= k, and E_m = 0
+    gaps = np.zeros(m)
+    gaps[:-1] = x[1:] - y
+    folded = np.cumsum(gaps[::-1])[::-1]
+    return tuple((qp.q**folded * ratios.prod(axis=1)).tolist())
 
 
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:

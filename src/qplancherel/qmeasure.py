@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .diagrams import HookData, Partition, enumerate_level, hook_data
 
 
@@ -62,10 +64,16 @@ class QParam:
     def is_classical(self) -> bool:
         return self.q == 1.0
 
-    def bracket(self, d: float) -> float:
-        """[d]_q = (1 - q^d) / (1 - q) for d of either sign; d at q = 1."""
+    def bracket(self, d):
+        """[d]_q = (1 - q^d) / (1 - q) for d of either sign; d at q = 1.
+
+        ``d`` is a number or a float ndarray, taken elementwise.  A number
+        goes through ``math.expm1``, so scalar brackets keep their bits.
+        """
         if self.is_classical:
             return d
+        if isinstance(d, np.ndarray):
+            return -np.expm1(-d * self.log_inv) / self.one_minus_q
         return -math.expm1(-d * self.log_inv) / self.one_minus_q
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 
 import pytest
 
@@ -148,6 +149,21 @@ class TestExitCodes:
         # a valid q whose first moment overflows, not a bad configuration
         assert main(["limit-shape", "--q", "3e-28"]) == EXIT_CAPACITY
         assert "p_1" in capsys.readouterr().err
+
+    def test_huge_sample_moments_have_finite_stderr(self, capsys):
+        # the targets are finite (p_2 ~ 3.7e297), but the sample moments
+        # reach ~5e206, whose squares are beyond the double range
+        argv = ["simulate", "--q", "1e-8", "--n", "500", "--trials", "3"]
+        assert main(argv + ["--moments", "2", "--format", "json"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        for n, stderr in enumerate(payload["summary"]["stderr"]):
+            column = [t["moments"][n] for t in payload["trajectories"]]
+            assert math.isfinite(stderr)
+            assert stderr == pytest.approx(
+                statistics.stdev(column) / math.sqrt(3), rel=1e-14
+            )
 
     def test_bad_format_flag(self, capsys):
         assert main(["simulate", "--format", "xml"]) == EXIT_CONFIG

@@ -222,9 +222,10 @@ class TestCornerWalk:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_chain(self, seed):
         # the incremental walk and the straightforward chain consume
-        # the same variates and must visit the same shapes
-        n = 60
-        for qp in (QParam(0.55), QParam(1.0)):
+        # the same variates and must visit the same shapes, down to a q
+        # at which brackets of negative arguments leave the double range
+        for q, n in ((0.55, 60), (1.0, 60), (0.05, 80), (1e-3, 80), (1e-8, 80)):
+            qp = QParam(q)
             reference = kernel.grow_trajectory(n, qp, seed)
             walk = _walk(qp, [0], n, seed)
             assert from_interlacing(walk.diagram(0)) == reference.final

@@ -13,13 +13,16 @@ from qplancherel import (
     deform,
     enumerate_level,
     grow_trajectory,
+    markov_krein_residual,
     partial_fraction_weights,
     q_measure,
     sample_index,
     to_interlacing,
     trajectory_rng,
+    transition_measure,
     transition_weights,
 )
+from qplancherel.checks import CHECKS
 
 from conftest import partitions, random_partitions
 
@@ -89,6 +92,45 @@ def test_oracle_equivalence(q):
         direct = transition_weights(w, qp)
         solved = partial_fraction_weights(w, qp)
         assert max(abs(a - b) for a, b in zip(direct, solved)) < 1e-12
+
+
+def _ulps(a: float, b: float) -> float:
+    # |a - b| in units in the last place of the exact-rounded b
+    return abs(a - b) / math.ulp(b)
+
+
+# brackets of negative arguments grow like q^(-d): at 1e-8 they leave the
+# double range on (40,), and at 1e-5 they cost hundreds of ulp on the
+# staircase-like (50, 40, 3, 1, 1)
+@pytest.mark.parametrize("q", [1e-8, 1e-5, 1 - 1e-12])
+@pytest.mark.parametrize(
+    "parts", [(40,), (30, 1), (50, 40, 3, 1, 1), (12, 9, 9, 4, 2)], ids=str
+)
+def test_extreme_q_matches_oracle_in_ulps(parts, q):
+    qp = QParam(q)
+    w = to_interlacing(Partition(parts))
+    direct = transition_weights(w, qp)
+    solved = partial_fraction_weights(w, qp)
+    assert max(map(_ulps, direct, solved)) <= 64
+
+
+# real corners reach the product formula through deform, and nothing but
+# the formula defines their weights; at q = 1e-5 the row's bracket
+# [-70]_q is beyond the double range
+@pytest.mark.parametrize("q", [1e-5, 0.1, 0.5, 0.9, 1.0])
+def test_real_corner_weights(q):
+    qp = QParam(q)
+    tolerance = CHECKS["markov_krein"][1]
+    for parts in ((1,), (3, 1), (4, 4, 2, 1), (70,)):
+        base = to_interlacing(Partition(parts))
+        w = deform(base, transition_weights(base, qp), 0.05).diagram
+        assert any(v != int(v) for v in w.minima)
+        mu = transition_weights(w, qp)
+        assert all(v > 0 for v in mu)
+        assert math.fsum(mu) == pytest.approx(1.0, rel=1e-12)
+        points = [w.support_max + 1.5 + j for j in range(4)]
+        residual = markov_krein_residual(w, transition_measure(w, qp), qp, points)
+        assert residual <= tolerance
 
 
 def test_classical_continuity():
