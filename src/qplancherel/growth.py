@@ -97,9 +97,9 @@ def deform(
     """Attach squares of area weights[k] * t above each minimum of ``w``.
 
     Valid while sqrt(weights[k] * t) stays below the gap to the
-    neighboring maxima; beyond that the profile is no longer a diagram
-    and DeformationError is raised.  The area grows by exactly t when
-    the weights sum to one.
+    neighboring maxima and moves x_k in floating point; otherwise the
+    profile is no longer a diagram and DeformationError is raised.  The
+    area grows by exactly t when the weights sum to one.
     """
     weights = tuple(float(v) for v in weights)
     if len(weights) != len(w.minima):
@@ -122,6 +122,8 @@ def deform(
                 f"time {t} is too large: offset {offset} at minimum {xk} "
                 f"reaches a neighboring maximum"
             )
+        if xk - offset == xk or xk + offset == xk:
+            raise DeformationError(f"offset {offset} does not move minimum {xk}")
         new_minima.extend((xk - offset, xk + offset))
     new_maxima = sorted(x + y)
     return DeformedDiagram(

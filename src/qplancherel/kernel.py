@@ -25,8 +25,9 @@ identity
 
     sum_k mu_k / [x - x_k]_q = prod_i [x - y_i]_q / prod_i [x - x_i]_q,
 
-which :func:`partial_fraction_weights` solves exactly, in rational
-arithmetic, at m + 1 integer points above the support: an oracle
+whose right-hand side vanishes at each maximum y_j and whose x -> oo
+limit gives sum_k mu_k = 1.  :func:`partial_fraction_weights` solves
+these m + 1 equations exactly, in rational arithmetic: an oracle
 independent of the product formula.
 """
 
@@ -76,57 +77,46 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     """Weights recovered from the partial-fraction identity by an exact solve.
 
-    Independent of the product formula: evaluates the right-hand side at
-    the m + 1 integer points support_max + 2, ..., support_max + m + 2
-    and solves the square system for the residues in rational
-    arithmetic.  Requires integer corner coordinates, as a partition's
-    profile has; any other diagram raises ValueError.
+    Independent of the product formula: at each maximum y_j the identity's
+    right-hand side vanishes, so sum_k mu_k / [y_j - x_k]_q = 0 for the m
+    maxima, and sum_k mu_k = 1 fixes the scale.  The m x (m + 1) system
+    is eliminated in rational arithmetic, its kernel vector normalized
+    and each weight rounded once.  Requires integer corner coordinates,
+    as a partition's profile has; any other diagram raises ValueError.
     """
     if any(v != int(v) for v in w.minima + w.maxima):
         raise ValueError("the exact solve needs integer corner coordinates")
     minima = [int(v) for v in w.minima]
     maxima = [int(v) for v in w.maxima]
-    # Far above the support every kernel column looks like 1 + O(q^x),
-    # so a float system loses the weights long before 25 boxes at small
-    # q.  Integer exponents admit an exact rational solve, which is what
-    # an oracle should be; q is lifted to the Fraction equal to its
-    # binary value.
+    # q is lifted to the Fraction equal to its binary value; the common
+    # factor (1 - q) of 1 / [d]_q drops out, and d = y_j - x_k is a
+    # nonzero integer of either sign
     qf = Fraction(qp.q)
-
-    # (1 - q) [d]_q, or d as a Fraction at q = 1 so that 1 / d stays
-    # exact; the common factor (1 - q) cancels from both sides
-    def scaled_bracket(d: int) -> Fraction:
-        return Fraction(d) if qp.is_classical else 1 - qf**d
-
-    n = len(minima)
-    top = minima[-1]
-    rows = []
-    for g in range(top + 2, top + n + 2):
-        rhs = Fraction(1)
-        for yj in maxima:
-            rhs *= scaled_bracket(g - yj)
-        for xk in minima:
-            rhs /= scaled_bracket(g - xk)
-        rows.append([1 / scaled_bracket(g - xk) for xk in minima] + [rhs])
-    for col in range(n):
-        pivot = next(
-            (i for i in range(col, n) if rows[i][col] != 0), None
-        )
+    entries = {
+        d: Fraction(1, d) if qp.is_classical else 1 / (1 - qf**d)
+        for d in {y - x for y in maxima for x in minima}
+    }
+    m = len(maxima)
+    rows = [[entries[y - x] for x in minima] for y in maxima]
+    for col in range(m):
+        pivot = next((i for i in range(col, m) if rows[i][col] != 0), None)
         if pivot is None:
             raise SingularSystemError("exact partial-fraction system is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(col + 1, n):
+        for i in range(col + 1, m):
             factor = rows[i][col] / rows[col][col]
             if factor:
-                for j in range(col, n + 1):
+                for j in range(col, m + 1):
                     rows[i][j] -= factor * rows[col][j]
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = rows[i][n]
-        for j in range(i + 1, n):
+    # the kernel vector with mu_{m+1} = 1, then normalized to sum 1
+    solution = [Fraction(0)] * m + [Fraction(1)]
+    for i in range(m - 1, -1, -1):
+        acc = -rows[i][m]
+        for j in range(i + 1, m):
             acc -= rows[i][j] * solution[j]
         solution[i] = acc / rows[i][i]
-    return tuple(float(v) for v in solution)
+    total = sum(solution)
+    return tuple(float(v / total) for v in solution)
 
 
 def sample_index(weights, u: float) -> int:

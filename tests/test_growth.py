@@ -65,6 +65,18 @@ class TestDeform:
         with pytest.raises(DeformationError):
             deform(w, (1.0 / 3.0, 2.0 / 3.0), 2.0)
 
+    # the smallest weight (~1e-30, ~9e-71) moves its minimum by less than
+    # half an ulp of the coordinate
+    @pytest.mark.parametrize(
+        "parts, q",
+        [((7, 5, 5, 2, 1, 1), 1e-5), ((1,) * 70, 0.1)],
+        ids=["7-5-5-2-1-1", "column70"],
+    )
+    def test_unresolved_offset_is_deformation_error(self, parts, q):
+        w = to_interlacing(Partition(parts))
+        with pytest.raises(DeformationError, match="does not move"):
+            deform(w, kernel.transition_weights(w, QParam(q)), 0.05)
+
     def test_validation(self):
         w = to_interlacing(Partition((1,)))
         with pytest.raises(ValueError):

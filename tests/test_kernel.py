@@ -25,6 +25,7 @@ from qplancherel import (
 from qplancherel.checks import CHECKS
 
 from conftest import partitions, random_partitions
+from oracles import above_support_weights
 
 
 def test_single_box_weights():
@@ -83,7 +84,8 @@ def test_oracle_rejects_non_integer_diagram():
         partial_fraction_weights(moved, qp)
 
 
-# q = 0.1 is where a floating solve on the far-field grid loses the weights
+# q = 0.1 is the smallest q here, where the product formula's brackets
+# spread widest
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.7, 0.95, 1.0])
 def test_oracle_equivalence(q):
     qp = QParam(q)
@@ -92,6 +94,17 @@ def test_oracle_equivalence(q):
         direct = transition_weights(w, qp)
         solved = partial_fraction_weights(w, qp)
         assert max(abs(a - b) for a, b in zip(direct, solved)) < 1e-12
+
+
+# the kernel-vector solve at the maxima and the square solve at points
+# above the support round the same exact weights once each, so they agree
+# to the bit; the second also checks the identity off the support
+@pytest.mark.parametrize("q", [1e-8, 1e-5, 0.1, 0.5, 0.95, 1 - 1e-12, 1.0])
+def test_oracle_matches_above_support_solve(q):
+    qp = QParam(q)
+    for lam in [Partition(()), *random_partitions(40, 25, seed=12)]:
+        w = to_interlacing(lam)
+        assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
 
 
 def _ulps(a: float, b: float) -> float:
