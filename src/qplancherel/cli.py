@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import checks, dynamics, growth, limitshape, moments, qmeasure, rsk
 from .diagrams import CapacityError
@@ -46,7 +46,6 @@ _SETTINGS = {
     "out": str,
 }
 _IGNORED_KEYS = {"schema", "command"}
-_TOLERANCE_KEYS = {f"tol_{name}" for name in checks.CHECKS}
 
 
 class ConfigError(ValueError):
@@ -65,7 +64,6 @@ class RunConfig:
     seed: int = 0
     format: str = "csv"
     out: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         try:
@@ -82,20 +80,15 @@ class RunConfig:
             raise ConfigError(f'format must be "csv" or "json", got {self.format!r}')
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for key, value in self.tolerances.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"tolerance {key} must be finite and positive, got {value}")
 
     def header_items(self) -> list[tuple[str, str]]:
-        """Every setting but ``out``, then the tolerance overrides."""
+        """The schema, the command and every setting but ``out``."""
         items = [("schema", SCHEMA), ("command", self.command)]
         for key, kind in _SETTINGS.items():
             # the output path does not change the report
             if key != "out":
                 value = getattr(self, key)
                 items.append((key, _fmt(value) if kind is float else str(value)))
-        for key in sorted(self.tolerances):
-            items.append((key, _fmt(self.tolerances[key])))
         return items
 
 
@@ -125,18 +118,15 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if key in _IGNORED_KEYS:
             continue
-        if key not in _SETTINGS and key not in _TOLERANCE_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = _SETTINGS.get(key, float)
+        kind = _SETTINGS[key]
         try:
             parsed = kind(value)
         except ValueError as exc:
             noun = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
-        if key in _TOLERANCE_KEYS:
-            values.setdefault("tolerances", {})[key] = parsed
-        else:
-            values[key] = parsed
+        values[key] = parsed
     return values
 
 
@@ -213,8 +203,7 @@ def _csv_row(*cells) -> str:
 
 def run_verify(config: RunConfig) -> int:
     suites = []
-    for name, (check, default_tol) in checks.CHECKS.items():
-        tol = config.tolerances.get(f"tol_{name}", default_tol)
+    for name, (check, tol) in checks.CHECKS.items():
         worst = check()
         suites.append(
             {"name": name, "max_error": worst, "tolerance": tol, "passed": worst < tol}

@@ -19,43 +19,15 @@ integers; floating point enters only downstream.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 
-DEFAULT_MAX_LEVEL = 40
-_MAX_LEVEL_ENV = "QPL_MAX_N"
+# Largest level enumerate_level lists; a level's size grows exponentially in n.
+LEVEL_CAP = 40
 
 
 class CapacityError(RuntimeError):
-    """Raised when a request exceeds the configured exact-arithmetic cap."""
-
-
-def max_level() -> int:
-    """Largest box count accepted by enumeration and exact dimension formulas.
-
-    Controlled by the environment variable ``QPL_MAX_N`` (default 40).
-    Read at call time so tests and callers may adjust it.
-    """
-    raw = os.environ.get(_MAX_LEVEL_ENV)
-    if raw is None:
-        return DEFAULT_MAX_LEVEL
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_MAX_LEVEL_ENV} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{_MAX_LEVEL_ENV} must be nonnegative, got {value}")
-    return value
-
-
-def _check_level(n: int, what: str) -> None:
-    cap = max_level()
-    if n > cap:
-        raise CapacityError(
-            f"{what} requested at level {n}, above the cap {cap}; "
-            f"raise {_MAX_LEVEL_ENV} to allow it"
-        )
+    """A request above the fixed cap of an enumeration whose cost is exponential."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +130,10 @@ def hook_data(partition: Partition) -> HookData:
 
     dim is the number of standard Young tableaux of the shape, computed
     exactly as n! divided by the hook product; the division is checked
-    to be exact.  Sizes above :func:`max_level` raise CapacityError
-    rather than fall back to floating point.
+    to be exact.  The cost is polynomial in the size, so no size is
+    refused.
     """
     n = partition.size
-    _check_level(n, "exact hook data")
     conj = partition.conjugate().parts
     hooks = []
     for i, row_len in enumerate(partition.parts):
@@ -176,14 +147,19 @@ def hook_data(partition: Partition) -> HookData:
     return HookData(tuple(hooks), b_stat, fact // prod)
 
 
-def enumerate_level(n: int) -> list[Partition]:
+@cache
+def enumerate_level(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in decreasing lexicographic order.
 
     The first entry is the single row (n,), the last the single column.
+    Levels above ``LEVEL_CAP`` raise CapacityError.
     """
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    _check_level(n, "level enumeration")
+    if n > LEVEL_CAP:
+        raise CapacityError(
+            f"level enumeration requested at level {n}, above the cap {LEVEL_CAP}"
+        )
 
     def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -194,7 +170,7 @@ def enumerate_level(n: int) -> list[Partition]:
 
     out: list[Partition] = []
     gen(n, n if n else 1, ())
-    return out
+    return tuple(out)
 
 
 def _is_number(v) -> bool:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .diagrams import LEVEL_CAP, CapacityError
 from .moments import MomentOverflowError, MomentVector, h_from_p_partition_sum
 from .qmeasure import QParam
 
@@ -161,8 +162,14 @@ def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[
     zero.  When A = P, as for the flow from all-ones at sigma >= 0,
     A needs no second call.  A defect above 1e-12 raises
     IntegrationAccuracyError, and a moment beyond the floating-point
-    range raises MomentOverflowError.
+    range raises MomentOverflowError.  The gate sums over the partitions
+    of each order, so an order above ``LEVEL_CAP`` raises CapacityError
+    before any polynomial is built.
     """
+    if len(y0) > LEVEL_CAP:
+        raise CapacityError(
+            f"moment flow requested to order {len(y0)}, above the cap {LEVEL_CAP}"
+        )
     reduced, amplitudes, slopes, values = [], [], [], []
     for n in range(1, len(y0) + 1):
         p_coeffs, slope_coeffs = _flow_coefficients(y0[:n])

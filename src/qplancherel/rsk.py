@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .diagrams import CapacityError, Partition, hook_data, max_level
+from .diagrams import CapacityError, Partition, hook_data
 from .qmeasure import polynomial_bracket
 
 _MAX_PUSHFORWARD_N = 20
@@ -221,9 +221,6 @@ def pushforward_exact(n: int, q):
     """
     if not (0 < q <= 1):
         raise ValueError(f"q must lie in (0, 1], got {q}")
-    cap = min(_MAX_PUSHFORWARD_N, max_level())
-    if n > cap:
-        raise CapacityError(f"exact push-forward capped at n = {cap}, got {n}")
     dist = maj_distribution(n)
     masses = {
         shape: sum(count * q**m for m, count in dist[shape])

@@ -38,10 +38,6 @@ class TestRunConfig:
             RunConfig(command="verify", trials=0).validate()
         with pytest.raises(ConfigError):
             RunConfig(command="verify", format="yaml").validate()
-        with pytest.raises(ConfigError):
-            RunConfig(
-                command="verify", tolerances={"tol_hook_identity": -1.0}
-            ).validate()
 
 
 class TestConfigFile:
@@ -53,7 +49,6 @@ class TestConfigFile:
             "q=0.25\n"
             "# n=50\n"
             "trials = 7\n"
-            "tol_pushforward=1e-11\n"
             "## summary p1: mean=1.0 stderr=0.1\n"
             "plain text line without equals\n"
         )
@@ -61,7 +56,6 @@ class TestConfigFile:
         assert values["q"] == 0.25
         assert values["n"] == 50
         assert values["trials"] == 7
-        assert values["tolerances"] == {"tol_pushforward": 1e-11}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -70,24 +64,18 @@ class TestConfigFile:
             parse_config_file(str(path))
 
     def test_misspelt_tolerance_is_config_error(self, tmp_path, capsys):
+        # the tolerances are fixed, so a tol_ line is unknown whatever its check
         path = tmp_path / "typo.conf"
-        path.write_text("tol_hook_identiy=1e-30\n")
-        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
-        assert "unknown config key 'tol_hook_identiy'" in capsys.readouterr().err
+        for key, value in [("tol_hook_identiy", "1e-30"), ("tol_pushforward", "1e-11")]:
+            path.write_text(f"{key}={value}\n")
+            assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("n=three\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, value):
-        # a nan tolerance would fail every check, an inf one pass any
-        path = tmp_path / "tol.conf"
-        path.write_text(f"tol_pushforward={value}\n")
-        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
-        assert "tolerance tol_pushforward" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         assert main(["verify", "--config", "/nonexistent/x.conf"]) == EXIT_CONFIG
@@ -105,10 +93,17 @@ class TestExitCodes:
         assert main(["pushforward", "--n", "21"]) == EXIT_CAPACITY
         assert "capacity error" in capsys.readouterr().err
 
-    def test_env_cap_applies(self, monkeypatch, capsys):
-        monkeypatch.setenv("QPL_MAX_N", "4")
-        assert main(["pushforward", "--n", "6"]) == EXIT_CAPACITY
-        capsys.readouterr()
+    def test_moment_order_above_cap_is_capacity_error(self, monkeypatch, capsys):
+        # refused before any flow polynomial is built, for both commands
+        def unbuilt(y0):
+            raise AssertionError("built a flow polynomial above the cap")
+
+        monkeypatch.setattr(dynamics, "_flow_coefficients", unbuilt)
+        assert main(["limit-shape", "--moments", "41"]) == EXIT_CAPACITY
+        assert "order 41" in capsys.readouterr().err
+        argv = ["simulate", "--q", "1", "--moments", "60", "--n", "10", "--trials", "2"]
+        assert main(argv) == EXIT_CAPACITY
+        assert "order 60" in capsys.readouterr().err
 
     def test_zero_trials(self, capsys):
         assert main(["simulate", "--trials", "0"]) == EXIT_CONFIG
@@ -185,17 +180,13 @@ class TestVerifyCommand:
         assert len(data) >= 7
         assert all(row.endswith(",true") for row in data)
 
-    def test_tampered_tolerance_fails_naming_suite(self, tmp_path, capsys):
-        conf = tmp_path / "tight.conf"
-        conf.write_text("tol_markov_krein=1e-30\n")
+    def test_tampered_tolerance_fails_naming_suite(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(checks.CHECKS, "markov_krein", (checks.markov_krein, 1e-30))
         out_file = tmp_path / "report.csv"
-        code = main(
-            ["verify", "--config", str(conf), "--out", str(out_file)]
-        )
+        code = main(["verify", "--out", str(out_file)])
         assert code == EXIT_CHECK_FAILED
         assert "verify: FAIL markov_krein" in capsys.readouterr().err
         report = out_file.read_text()
-        assert "# tol_markov_krein=" in report
         failing = [
             row
             for row in report.splitlines()

@@ -14,6 +14,7 @@ from qplancherel import (
     hook_data,
     to_interlacing,
 )
+from qplancherel.diagrams import LEVEL_CAP
 
 from conftest import partitions
 
@@ -137,11 +138,17 @@ def test_enumeration_counts():
         assert all(lam.size == n for lam in level)
 
 
-def test_capacity_limit(monkeypatch):
-    monkeypatch.setenv("QPL_MAX_N", "5")
-    with pytest.raises(CapacityError):
-        enumerate_level(6)
+def test_capacity_limit():
+    with pytest.raises(CapacityError, match="level 41"):
+        enumerate_level(LEVEL_CAP + 1)
     assert len(enumerate_level(5)) == 7
+
+
+def test_enumeration_is_cached():
+    # callers share one immutable level
+    level = enumerate_level(12)
+    assert isinstance(level, tuple)
+    assert enumerate_level(12) is level
 
 
 @settings(max_examples=30)

@@ -6,6 +6,7 @@ import pytest
 from rk4 import integrate_rk4, polynomial_structure_residual
 
 from qplancherel import dynamics
+from qplancherel.diagrams import CapacityError
 from qplancherel.dynamics import (
     IntegrationAccuracyError,
     closed_form,
@@ -304,6 +305,19 @@ class TestExactFlow:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             limit_moments(QParam(0.5), 0)
+
+    def test_order_above_cap_refused_before_any_polynomial(self, monkeypatch):
+        # the defect gate sums over the partitions of each order, so an
+        # order above the level cap is refused before the flow is built
+        def unbuilt(y0):
+            raise AssertionError("built a flow polynomial above the cap")
+
+        monkeypatch.setattr(dynamics, "_reduced_flow", unbuilt)
+        monkeypatch.setattr(dynamics, "_flow_coefficients", unbuilt)
+        with pytest.raises(CapacityError, match="order 41"):
+            limit_moments(QParam(1.0), 41)
+        with pytest.raises(CapacityError, match="order 41"):
+            integrate_moments((1.0,) * 41, 0.0)
 
 
 class TestDynamicEquivalence:

@@ -15,11 +15,11 @@ from qplancherel import (
     harmonic,
     hook_data,
     hook_identity_residual,
-    max_level,
     q_measure,
     q_measure_exact,
 )
 from qplancherel import moments
+from qplancherel.diagrams import LEVEL_CAP
 from qplancherel.qmeasure import MomentOverflowError
 
 from conftest import partitions
@@ -166,9 +166,8 @@ def test_log_space_branch_below_normal_range():
     "parts,q,expected",
     [((50, 50), 1.0 - 1e-6, 4.198e-104), ((1,) * 120, 0.999, 4.1005e-201)],
 )
-def test_no_underflow_near_classical(monkeypatch, parts, q, expected):
+def test_no_underflow_near_classical(parts, q, expected):
     # (1 - q)^n alone underflows here; the bracket form does not
-    monkeypatch.setenv("QPL_MAX_N", "200")
     lam = Partition(parts)
     exact = float(q_measure_exact(lam, Fraction(q)))
     assert exact == pytest.approx(expected, rel=1e-4)
@@ -177,7 +176,7 @@ def test_no_underflow_near_classical(monkeypatch, parts, q, expected):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    partitions(min_boxes=1, max_boxes=max_level()),
+    partitions(min_boxes=1, max_boxes=LEVEL_CAP),
     st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
 )
 def test_float_measure_matches_exact(lam, q):
