@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import numpy.random  # loaded here, not lazily by the first seeded generator
 
 from .diagrams import InterlacingDiagram, Partition, to_interlacing
 from .qmeasure import QParam

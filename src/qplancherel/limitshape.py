@@ -19,18 +19,105 @@ r = rho R / (1 - Q), the function r(u, rho) satisfies
 
     r = rho / (1 - e^(-rho (u - r)))       and the quasi-linear PDE
     2 r r_u - u r_u + rho r_rho = r.
+
+The scalar roots come from :func:`brentq`, Brent's method (Brent 1973,
+ch. 4) step for step as the widely used C ``brentq`` loop runs it: the
+same stopping rule and the same interpolate / extrapolate / bisect
+choices, so the tests find the same roots, iteration counts and call
+counts as that reference.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import brentq
+from dataclasses import dataclass
 
 from .moments import MomentOverflowError, MomentVector
 from .qmeasure import QParam
 
+_BRENTQ_XTOL = 2e-12
 _BRENTQ_RTOL = 4 * math.ulp(1.0)
+_BRENTQ_MAXITER = 100
+
+
+@dataclass(frozen=True)
+class BrentInfo:
+    """What :func:`brentq` returns beside the root with ``full_output``."""
+
+    iterations: int
+    function_calls: int
+
+
+def brentq(f, a, b, xtol=_BRENTQ_XTOL, full_output=False):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Stops once half the bracket is below (xtol + 4 eps |x|) / 2.  Raises
+    ValueError on a same-sign bracket or a NaN value of f, RuntimeError
+    after 100 iterations.  With ``full_output`` returns
+    ``(root, BrentInfo)``.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    calls, iterations = 2, 0
+    if fpre == 0:
+        xcur = xpre
+    elif fcur != 0:
+        if (fpre < 0) == (fcur < 0):
+            raise ValueError("f(a) and f(b) must have different signs")
+        while True:
+            if iterations == _BRENTQ_MAXITER:
+                raise RuntimeError(f"Failed to converge after {iterations} iterations.")
+            iterations += 1
+            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                break
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                try:
+                    if xpre == xblk:  # interpolate
+                        stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                    else:  # extrapolate
+                        dpre = (fpre - fcur) / (xpre - xcur)
+                        dblk = (fblk - fcur) / (xblk - xcur)
+                        stry = (
+                            -fcur
+                            * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre))
+                        )
+                except ZeroDivisionError:  # IEEE gives an inf or NaN step: bisect
+                    stry = math.inf
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    spre, scur = scur, stry  # good short step
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = value(xcur)
+            calls += 1
+    if full_output:
+        return xcur, BrentInfo(iterations, calls)
+    return xcur
 
 
 class BracketingError(RuntimeError):
@@ -43,6 +130,8 @@ def _exp_capped(t: float) -> float:
 
 def classical_r(x: float) -> float:
     """(x - sqrt(x^2 - 4)) / 2 in cancellation-free form; needs x >= 2."""
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if x < 2.0:
         raise BracketingError(f"the classical branch needs x >= 2, got {x}")
     return 2.0 / (x + math.sqrt(x * x - 4.0))
@@ -51,12 +140,20 @@ def classical_r(x: float) -> float:
 def solve_r_omega(x: float, qp: QParam) -> float:
     """Root of R (1 - q^(x - c R)) = (1 - q) on the physical branch.
 
-    Safeguarded bracketing: the left end (1 - q)/2 always lies below the
-    root, the right end starts at 3 (1 - q) and doubles, clipped at the
-    stationary point of the defect function beyond which the second,
-    unphysical branch begins.  Raises BracketingError (reporting the
-    attempted bracket) when x is below the admissible range.
+    The defect g(r) = r (1 - q^(x - c r)) - (1 - q) is concave with
+    g(0) < 0, so its first root is the physical one.  The left end
+    (1 - q)/2 always lies below that root.  If g is still rising at
+    3 (1 - q) and already positive there, as everywhere far above the
+    support, [(1 - q)/2, 3 (1 - q)] brackets the root at once.
+    Otherwise the stationary point of g (the hump, beyond which the
+    second, unphysical branch begins) is solved for first, and the
+    right end starts at 3 (1 - q) and doubles, clipped at the hump.
+    Both solves use :func:`brentq`.  Raises BracketingError (reporting
+    the attempted bracket) when x is below the admissible range, and
+    ValueError when x is NaN.
     """
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if qp.is_classical:
         return classical_r(x)
     q = qp.q
@@ -76,23 +173,25 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     def slope_marker(r: float) -> float:
         return log_z + alpha * r + math.log1p(alpha * r)
 
-    hi_marker = one_minus_q
-    while slope_marker(hi_marker) <= 0.0:
-        hi_marker *= 2.0
-    r_hump = brentq(slope_marker, 0.0, hi_marker, rtol=_BRENTQ_RTOL)
-
     lo = one_minus_q / 2.0
-    if defect(r_hump) <= 0.0:
-        raise BracketingError(
-            f"no root for x = {x} at q = {q}; defect stays negative "
-            f"on the bracket [{lo}, {r_hump}]"
-        )
-    hi = min(3.0 * one_minus_q, r_hump)
-    while defect(hi) <= 0.0:
-        hi = min(2.0 * hi, r_hump)
-        if hi == r_hump:
-            break
-    return float(brentq(defect, lo, hi, xtol=1e-15 * one_minus_q, rtol=_BRENTQ_RTOL))
+    hi = 3.0 * one_minus_q
+    if slope_marker(hi) > 0.0 or defect(hi) <= 0.0:
+        hi_marker = one_minus_q
+        while slope_marker(hi_marker) <= 0.0:
+            hi_marker *= 2.0
+        r_hump = brentq(slope_marker, 0.0, hi_marker)
+        if defect(r_hump) <= 0.0:
+            raise BracketingError(
+                f"no root for x = {x} at q = {q}; defect stays negative "
+                f"on the bracket [{min(lo, r_hump)}, {max(lo, r_hump)}], "
+                f"up to its maximum at r = {r_hump}"
+            )
+        hi = min(hi, r_hump)
+        while defect(hi) <= 0.0:
+            hi = min(2.0 * hi, r_hump)
+            if hi == r_hump:
+                break
+    return brentq(defect, lo, hi, xtol=1e-15 * one_minus_q)
 
 
 def _fsum_or_inf(terms) -> float:

@@ -1,14 +1,19 @@
 """Limit profile R-function: implicit equation, series, self-similarity."""
 
 import math
+import random
+import re
 
 import pytest
+from scipy.optimize import brentq as reference_brentq
 
+from qplancherel import limitshape
 from qplancherel.dynamics import limit_moments
 from qplancherel.limitshape import (
     BracketingError,
     automodel_pde_residual,
     automodel_residual,
+    brentq,
     classical_r,
     series_h_omega,
     solve_r_omega,
@@ -40,6 +45,17 @@ class TestSolveROmega:
         assert solve_r_omega(50.0, QParam(0.5)) == pytest.approx(
             0.5, abs=1e-10
         )
+        # far above the support, up to the top of the double range and
+        # beyond, the root is 1 - q to the last bit
+        far = [10.0**e for e in range(10, 309)] + [math.inf]
+        for q in (0.01, 0.5, 0.95):
+            qp = QParam(q)
+            assert [solve_r_omega(x, qp) for x in far] == [1.0 - q] * len(far)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_nan_raises(self, q):
+        with pytest.raises(ValueError, match="nan"):
+            solve_r_omega(math.nan, QParam(q))
 
     def test_self_consistency_residual(self):
         q, x = 0.5, 6.0
@@ -70,10 +86,18 @@ class TestSolveROmega:
         assert all(v > 1.0 - q for v in values)
         assert solve_r_omega(200.0, qp) == pytest.approx(1.0 - q, rel=1e-9)
 
-    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
-    def test_below_admissible_range_raises_with_bracket(self, q):
-        with pytest.raises(BracketingError, match="bracket"):
-            solve_r_omega(1.0, QParam(q))
+    # at q = 1e-12 and x = 5 the hump of the defect lies below the
+    # bracket's left end (1 - q)/2
+    @pytest.mark.parametrize(
+        "q, x",
+        [pytest.param(q, 1.0, id=str(q)) for q in (0.2, 0.5, 0.8)]
+        + [pytest.param(1e-12, 5.0, id="1e-12")],
+    )
+    def test_below_admissible_range_raises_with_bracket(self, q, x):
+        with pytest.raises(BracketingError, match="bracket") as info:
+            solve_r_omega(x, QParam(q))
+        lo, hi = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(info.value)).groups()
+        assert float(lo) < float(hi)
 
     def test_classical_limit_is_first_order_in_epsilon(self):
         # r(x; 1-eps) - r_classical(x) = A eps + O(eps^2): Richardson
@@ -177,3 +201,87 @@ class TestAutomodel:
     def test_validation(self):
         with pytest.raises(ValueError):
             automodel_residual(4.0, 0.0)
+
+
+def _outcome(solver, f, a, b, **kwargs):
+    try:
+        root, info = solver(f, a, b, full_output=True, **kwargs)
+    except (ValueError, RuntimeError) as error:
+        return type(error), str(error)
+    return root, info.iterations, info.function_calls
+
+
+# continuous families f(x; c): a random float end of the bracket is never
+# an exact root, the one case where scipy leaves its iteration count unset
+_FAMILIES = (
+    lambda x, c: x**3 - c,
+    lambda x, c: math.sin(3.0 * x) - c / 3.0,
+    lambda x, c: math.expm1(x) - c,
+    lambda x, c: 1e-8 * math.atan(x - c),
+    lambda x, c: 1e300 * (x - c) ** 5,
+    lambda x, c: (x - c) * (x + c) * (x - 0.5 * c),
+)
+
+
+class TestBrentq:
+    """The in-package Brent solver against scipy's, to the last bit."""
+
+    def test_solve_r_omega_equations_match_reference(self, monkeypatch):
+        seen = []
+
+        def both(f, a, b, **kwargs):
+            ours = _outcome(brentq, f, a, b, **kwargs)
+            reference = _outcome(reference_brentq, f, a, b, **kwargs)
+            seen.append((f.__name__, ours, reference))
+            return ours[0]
+
+        monkeypatch.setattr(limitshape, "brentq", both)
+        qs = [10.0 ** (-8.0 + 8.0 * i / 45) for i in range(45)]
+        qs += [1.0 - 10.0 ** (-k) for k in range(1, 10)] + [0.5]
+        xs = [0.5 * k for k in range(1, 51)]
+        xs += [30.0, 50.0, 100.0, 1e3, 1e6, 1e12, 1e18, 1e300]
+        for q in qs:
+            qp = QParam(q)
+            for x in xs:
+                try:
+                    solve_r_omega(x, qp)
+                except BracketingError:
+                    pass
+        assert {name for name, _, _ in seen} == {"defect", "slope_marker"}
+        assert all(ours == ref for _, ours, ref in seen)
+
+    def test_generic_brackets_match_reference(self):
+        rng = random.Random(20260)
+        for _ in range(400):
+            family = rng.choice(_FAMILIES)
+            c = rng.uniform(-2.0, 2.0)
+            a, b = rng.uniform(-5.0, -2.0), rng.uniform(2.0, 5.0)
+            if rng.random() < 0.5:
+                a, b = b, a
+            kwargs = {}
+            if rng.random() < 0.3:
+                kwargs["xtol"] = 10.0 ** rng.uniform(-300.0, -1.0)
+
+            def f(x):
+                return family(x, c)
+
+            ours = _outcome(brentq, f, a, b, **kwargs)
+            assert ours == _outcome(reference_brentq, f, a, b, **kwargs)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0)
+
+    def test_iteration_cap_raises(self):
+        # a step function leaves Brent nothing to interpolate: ~1000
+        # bisections would be needed on this bracket, and both stop at 100
+        def f(x):
+            return math.copysign(1.0, x - 1e-200)
+
+        ours = _outcome(brentq, f, -1e300, 1e300)
+        assert ours == (RuntimeError, "Failed to converge after 100 iterations.")
+        assert ours == _outcome(reference_brentq, f, -1e300, 1e300)
