@@ -75,14 +75,6 @@ class Partition:
             rows.append(1)
         return rows
 
-    def removable_rows(self) -> list[int]:
-        """1-based rows where a box may be removed, bottom row first."""
-        rows = []
-        for i in range(self.length, 0, -1):
-            if i == self.length or self.parts[i - 1] > self.parts[i]:
-                rows.append(i)
-        return rows
-
     def add_box(self, k: int) -> "Partition":
         """Add a box at the k-th addable corner (0-based, content order)."""
         rows = self.addable_rows()
@@ -92,24 +84,6 @@ class Partition:
         parts = list(self.parts)
         parts[row - 1] += 1
         return Partition(tuple(parts))
-
-    def remove_box(self, k: int) -> "Partition":
-        """Remove the box at the k-th removable corner (0-based, content order)."""
-        rows = self.removable_rows()
-        row = rows[k]
-        parts = list(self.parts)
-        parts[row - 1] -= 1
-        if parts[row - 1] == 0:
-            parts.pop()
-        return Partition(tuple(parts))
-
-    def successors(self) -> list["Partition"]:
-        """Partitions covering ``self`` in the Young lattice."""
-        return [self.add_box(k) for k in range(len(self.addable_rows()))]
-
-    def predecessors(self) -> list["Partition"]:
-        """Partitions covered by ``self`` in the Young lattice."""
-        return [self.remove_box(k) for k in range(len(self.removable_rows()))]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"

@@ -68,33 +68,40 @@ def ode_rhs(y) -> tuple[float, ...]:
 def closed_form(n: int, sigma: float, y0) -> float:
     """Exact y_n(sigma) for n <= 4: a degree n - 1 polynomial times e^(n sigma).
 
-    ``y0`` supplies the initial values y_1(0)..y_n(0).
+    ``y0`` supplies the initial values y_1(0)..y_n(0).  A value that is
+    not finite raises MomentOverflowError.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"closed forms cover n = 1..4, got {n}")
     y0 = tuple(float(v) for v in y0)
     if len(y0) < n:
         raise ValueError(f"need {n} initial values, got {len(y0)}")
-    a = y0[0]
+    a, b, c, d = y0[:n] + (0.0,) * (4 - n)
     s = float(sigma)
-    if n == 1:
-        return a * math.exp(s)
-    b = y0[1]
-    if n == 2:
-        return (b + 2 * a * a * s) * math.exp(2 * s)
-    c = y0[2]
-    if n == 3:
-        return (
-            c + 1.5 * a * (3 * b + a * a) * s + 4.5 * a**3 * s * s
-        ) * math.exp(3 * s)
-    d = y0[3]
-    poly = (
-        d
-        + ((2.0 / 3.0) * a**4 + 4 * a * a * b + (16.0 / 3.0) * a * c + 2 * b * b) * s
-        + (16 * a * a * b + 8 * a**4) * s * s
-        + (32.0 / 3.0) * a**4 * s**3
-    )
-    return poly * math.exp(4 * s)
+    try:
+        if n == 1:
+            poly = a
+        elif n == 2:
+            poly = b + 2 * a * a * s
+        elif n == 3:
+            poly = c + 1.5 * a * (3 * b + a * a) * s + 4.5 * a**3 * s * s
+        else:
+            poly = (
+                d
+                + (
+                    (2.0 / 3.0) * a**4 + 4 * a * a * b + (16.0 / 3.0) * a * c + 2 * b * b
+                ) * s
+                + (16 * a * a * b + 8 * a**4) * s * s
+                + (32.0 / 3.0) * a**4 * s**3
+            )
+        value = poly * math.exp(n * s)
+    except OverflowError:  # a power of a, or e^(n sigma), past the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise MomentOverflowError(
+            f"closed form of p_{n} at sigma = {s} exceeds the floating-point range"
+        )
+    return value
 
 
 def limit_sigma(qp: QParam) -> float:
@@ -162,7 +169,8 @@ def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[
     zero.  When A = P, as for the flow from all-ones at sigma >= 0,
     A needs no second call.  A defect above 1e-12 raises
     IntegrationAccuracyError, and a moment beyond the floating-point
-    range raises MomentOverflowError.  The gate sums over the partitions
+    range, or a polynomial coefficient beyond it, raises
+    MomentOverflowError.  The gate sums over the partitions
     of each order, so an order above ``LEVEL_CAP`` raises CapacityError
     before any polynomial is built.
     """
@@ -172,7 +180,13 @@ def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[
         )
     reduced, amplitudes, slopes, values = [], [], [], []
     for n in range(1, len(y0) + 1):
-        p_coeffs, slope_coeffs = _flow_coefficients(y0[:n])
+        try:
+            p_coeffs, slope_coeffs = _flow_coefficients(y0[:n])
+        except OverflowError:  # float() of an exact coefficient
+            raise MomentOverflowError(
+                f"moment p_{n} {where}: a coefficient of its flow polynomial "
+                "exceeds the floating-point range"
+            ) from None
         p = _horner(p_coeffs, sigma)
         # exp(n sigma) itself must stay finite, even where |P_n| < 1
         if n * sigma + math.log(max(abs(p), 1.0)) >= _LOG_DOUBLE_MAX:

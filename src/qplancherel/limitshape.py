@@ -1,4 +1,4 @@
-"""The limiting R-function: implicit equation, series moments, self-similarity.
+"""The limiting R-function: implicit equation, root solver, series moments.
 
 The rescaled growth process has a deterministic limit profile whose
 R-function R(x; q) solves the implicit equation
@@ -14,11 +14,6 @@ limit q -> 1 the equation degenerates to R (x - R) = 1 with solution
 collects the limiting h-moments; the substitution h(z) = R/(1-q) - 1
 turns the implicit equation into h = z (1 + h) exp(rho^2 (1 + h)) with
 rho = ln(1/q), which the series extraction exploits order by order.
-The same curve is self-similar: with Q = e^(-rho) and the rescaling
-r = rho R / (1 - Q), the function r(u, rho) satisfies
-
-    r = rho / (1 - e^(-rho (u - r)))       and the quasi-linear PDE
-    2 r r_u - u r_u + rho r_rho = r.
 
 The scalar roots come from :func:`brentq`, Brent's method (Brent 1973,
 ch. 4) step for step as the widely used C ``brentq`` loop runs it: the
@@ -236,28 +231,3 @@ def series_h_omega(qp: QParam, n_max: int) -> MomentVector:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     return MomentVector("h", tuple(_series_by_recursion(qp, n_max)))
 
-
-def automodel_residual(u: float, rho: float) -> float:
-    """Defect of the self-similar implicit form at scale rho.
-
-    Solves the limit equation at parameter Q = e^(-rho), rescales to
-    r = rho R / (1 - Q), and returns |r (1 - e^(-rho (u - r))) - rho|.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    r = _r_scaled(u, rho)
-    return abs(r * -math.expm1(-rho * (u - r)) - rho)
-
-
-def _r_scaled(u: float, rho: float) -> float:
-    q_param = QParam(math.exp(-rho))
-    return rho * solve_r_omega(u, q_param) / (1.0 - q_param.q)
-
-
-def automodel_pde_residual(u: float, rho: float) -> float:
-    """Central-difference defect of 2 r r_u - u r_u + rho r_rho - r = 0."""
-    step = 1e-4
-    r = _r_scaled(u, rho)
-    r_u = (_r_scaled(u + step, rho) - _r_scaled(u - step, rho)) / (2 * step)
-    r_rho = (_r_scaled(u, rho + step) - _r_scaled(u, rho - step)) / (2 * step)
-    return abs(2.0 * r * r_u - u * r_u + rho * r_rho - r)

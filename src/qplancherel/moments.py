@@ -137,29 +137,47 @@ def p_moments(w: InterlacingDiagram, qp: QParam, n_max: int) -> MomentVector:
     return MomentVector("p", h_moments(rayleigh_measure(w), qp, n_max).values)
 
 
+def _fsum(terms) -> float:
+    # math.fsum raises where finite terms sum past the double range and
+    # where inf meets -inf; both come back as nan for _finite to report
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _finite(kind: str, n: int, value: float) -> float:
+    if not math.isfinite(value):
+        raise MomentOverflowError(f"{kind}_{n} exceeds the floating-point range")
+    return value
+
+
 def p_to_h(p: MomentVector) -> MomentVector:
-    """Triangular Newton recursion n h_n = sum_{k<=n} p_k h_{n-k}."""
+    """Triangular Newton recursion n h_n = sum_{k<=n} p_k h_{n-k}.
+
+    An h_n that is not finite raises MomentOverflowError.
+    """
     if p.kind != "p":
         raise ValueError(f'expected a "p" vector, got kind {p.kind!r}')
     h = [1.0]
     for n in range(1, len(p.values) + 1):
-        h.append(
-            math.fsum(p.values[k - 1] * h[n - k] for k in range(1, n + 1)) / n
-        )
+        total = _fsum(p.values[k - 1] * h[n - k] for k in range(1, n + 1))
+        h.append(_finite("h", n, total / n))
     return MomentVector("h", tuple(h[1:]))
 
 
 def h_to_p(h: MomentVector) -> MomentVector:
-    """Inverse triangular recursion p_n = n h_n - sum_{k<n} p_k h_{n-k}."""
+    """Inverse triangular recursion p_n = n h_n - sum_{k<n} p_k h_{n-k}.
+
+    A p_n that is not finite raises MomentOverflowError.
+    """
     if h.kind != "h":
         raise ValueError(f'expected an "h" vector, got kind {h.kind!r}')
     hs = (1.0,) + h.values
     p: list[float] = []
     for n in range(1, len(h.values) + 1):
-        p.append(
-            n * hs[n]
-            - math.fsum(p[k - 1] * hs[n - k] for k in range(1, n))
-        )
+        value = n * hs[n] - _fsum(p[k - 1] * hs[n - k] for k in range(1, n))
+        p.append(_finite("p", n, value))
     return MomentVector("p", tuple(p))
 
 
@@ -181,20 +199,24 @@ def h_from_p_partition_sum(p_values, n: int) -> float:
     sum over partitions (1^{r_1} 2^{r_2} ...) of n of
     prod_k p_k^{r_k} / (k^{r_k} r_k!).  Used as the brute-force route
     next to :func:`p_to_h` and as the right-hand side of the moment flow.
+    An h_n that is not finite raises MomentOverflowError.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if len(p_values) < n:
         raise ValueError(f"need p_1..p_{n}, got only {len(p_values)}")
     total = []
-    for profile in _partition_profiles(n):
-        term = 1.0
-        for part, mult in profile:
-            term *= p_values[part - 1] ** mult / (
-                part**mult * math.factorial(mult)
-            )
-        total.append(term)
-    return math.fsum(total)
+    try:
+        for profile in _partition_profiles(n):
+            term = 1.0
+            for part, mult in profile:
+                term *= p_values[part - 1] ** mult / (
+                    part**mult * math.factorial(mult)
+                )
+            total.append(term)
+    except OverflowError:  # a power p_k^r past the double range
+        return _finite("h", n, math.inf)
+    return _finite("h", n, _fsum(total))
 
 
 def r_diagram(w: InterlacingDiagram, qp: QParam, x: float) -> float:

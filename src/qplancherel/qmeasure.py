@@ -1,4 +1,4 @@
-"""The q-deformed Plancherel measure and its harmonic function.
+"""The q-deformed Plancherel measure and its hook identity.
 
 Every formula is written in the q-bracket [d]_q = (1 - q^d) / (1 - q),
 which tends to d as q -> 1, so the classical case q = 1 is the same
@@ -8,13 +8,8 @@ formula at its limit.  The measure of a partition of n is
 
 with the product over the hook lengths h(u) of lam and
 b(lam) = sum_i (i - 1) * lam_i; at q = 1 it is the Plancherel weight
-dim(lam) / prod_u h(u) = dim(lam)^2 / n!.  The measure factors as
-dim(lam) times the harmonic function
-
-    phi_q(lam) = q^(b(lam)) / prod_u [h(u)]_q,
-
-which satisfies phi_q(lam) = sum phi_q(Lam) over covers Lam of lam.
-Normalization of M_q over a level is equivalent to the hook identity
+dim(lam) / prod_u h(u) = dim(lam)^2 / n!.  Normalization of M_q over a
+level is equivalent to the hook identity
 
     sum_{|lam| = n} q^(b(lam)) dim(lam) / prod_u (1 - q^(h(u))) = (1 - q)^(-n).
 """
@@ -87,20 +82,18 @@ def _bracket_table(n: int, qp: QParam) -> list[float]:
     return [qp.bracket(h) for h in range(n + 1)]
 
 
-def _hook_weight(
-    data: HookData, qp: QParam, table: list[float], factor: int = 1
-) -> float:
-    # factor * q^b / prod [h]_q.  Every [h]_q is at least 1, so the
+def _hook_weight(data: HookData, qp: QParam, table: list[float]) -> float:
+    # dim * q^b / prod [h]_q.  Every [h]_q is at least 1, so the
     # running quotient only falls: while it ends in the normal range the
     # direct product is accurate to rounding, and below it the same
-    # product is taken in log space, where ``factor`` can lift it back.
+    # product is taken in log space, where dim can lift it back.
     value = qp.q**data.b_stat
     for h in data.hooks:
         value /= table[h]
     if value >= sys.float_info.min:
-        return factor * value
+        return data.dim * value
     return math.exp(
-        math.log(factor)
+        math.log(data.dim)
         - data.b_stat * qp.log_inv
         - math.fsum(math.log(table[h]) for h in data.hooks)
     )
@@ -108,8 +101,7 @@ def _hook_weight(
 
 def q_measure(partition: Partition, qp: QParam) -> float:
     """Probability of ``partition`` under the level-n deformed measure."""
-    data = hook_data(partition)
-    return _hook_weight(data, qp, _bracket_table(partition.size, qp), data.dim)
+    return _hook_weight(hook_data(partition), qp, _bracket_table(partition.size, qp))
 
 
 def q_measure_exact(partition: Partition, q: Fraction) -> Fraction:
@@ -124,15 +116,6 @@ def q_measure_exact(partition: Partition, q: Fraction) -> Fraction:
     for h in data.hooks:
         value /= polynomial_bracket(h, q)
     return value
-
-
-def harmonic(partition: Partition, qp: QParam) -> float:
-    """The harmonic function phi_q; q_measure = dim * harmonic.
-
-    Defined for every q in (0, 1]; at q = 1 it is the classical
-    harmonic function 1 / prod_u h(u) = dim / n!.
-    """
-    return _hook_weight(hook_data(partition), qp, _bracket_table(partition.size, qp))
 
 
 def hook_identity_residual(n: int, qp: QParam) -> float:
@@ -153,7 +136,7 @@ def hook_identity_residual(n: int, qp: QParam) -> float:
         ) from None
     table = _bracket_table(n, qp)
     total = math.fsum(
-        _hook_weight(data, qp, table, data.dim)
+        _hook_weight(data, qp, table)
         for data in map(hook_data, enumerate_level(n))
     )
     return (total - 1.0) * scale

@@ -1,17 +1,17 @@
-"""Row insertion, descent statistics, and the major-index bias.
+"""Row insertion, the major index, and the exact q^MAJ push-forward.
 
 Permutations are tuples holding each of 1..n once.  The descent set of
 ``w`` is the set of positions i with w_i > w_{i+1}; MAJ(w) is the sum of
 those positions.  Biasing the uniform distribution on S(n) by q^MAJ and
-pushing forward through the recording-tableau shape of row insertion
-yields exactly the q-deformed Plancherel measure of ``qmeasure``; the
-normalizer is the Poincare polynomial [n]! / (1 - q)^n.  No sampler is
-offered.
+pushing forward through the common shape of the row-insertion tableau
+pair yields exactly the q-deformed Plancherel measure of ``qmeasure``;
+the normalizer is the Poincare polynomial [n]! / (1 - q)^n.  The exact
+table of MAJ values per shape is counted over the Young lattice, not
+over S(n).  No sampler is offered.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .diagrams import CapacityError, Partition, hook_data
+from .diagrams import CapacityError, Partition
 from .qmeasure import polynomial_bracket
 
 _MAX_PUSHFORWARD_N = 20
@@ -43,14 +43,6 @@ def descent_set(perm: Permutation) -> frozenset[int]:
 def maj(perm: Permutation) -> int:
     """The major index, the sum of the descent positions."""
     return sum(descent_set(perm))
-
-
-def inverse(perm: Permutation) -> Permutation:
-    _check_permutation(perm)
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -84,24 +76,6 @@ class StandardTableau:
     def shape(self) -> Partition:
         return Partition(tuple(len(r) for r in self.rows))
 
-    def row_of(self) -> dict[int, int]:
-        """Map from entry to its 0-based row index."""
-        return {v: i for i, r in enumerate(self.rows) for v in r}
-
-
-def descent_set_tableau(tableau: StandardTableau) -> frozenset[int]:
-    """Entries i whose successor i + 1 sits in a strictly lower row."""
-    row = tableau.row_of()
-    return frozenset(
-        i for i in range(1, tableau.size) if row[i + 1] > row[i]
-    )
-
-
-def maj_tableau(tableau: StandardTableau) -> int:
-    """The major index of a standard tableau, summed over its descents."""
-    return sum(descent_set_tableau(tableau))
-
-
 def rsk_shape(perm: Permutation) -> tuple[StandardTableau, StandardTableau]:
     """Row insertion of ``perm``: the (insertion, recording) tableau pair.
 
@@ -128,33 +102,6 @@ def rsk_shape(perm: Permutation) -> tuple[StandardTableau, StandardTableau]:
         StandardTableau(tuple(tuple(r) for r in p_rows)),
         StandardTableau(tuple(tuple(r) for r in q_rows)),
     )
-
-
-def standard_tableaux(shape: Partition):
-    """Yield every standard tableau of ``shape`` (exponentially many)."""
-    n = shape.size
-    if n == 0:
-        yield StandardTableau(())
-        return
-
-    parts = shape.parts
-    rows: list[list[int]] = [[] for _ in parts]
-
-    def fill(entry: int):
-        if entry > n:
-            yield StandardTableau(tuple(tuple(r) for r in rows))
-            return
-        for i in range(len(parts)):
-            j = len(rows[i])
-            if j >= parts[i]:
-                continue
-            if i > 0 and len(rows[i - 1]) <= j:
-                continue
-            rows[i].append(entry)
-            yield from fill(entry + 1)
-            rows[i].pop()
-
-    yield from fill(1)
 
 
 @cache
@@ -235,25 +182,3 @@ def pushforward_exact(n: int, q):
         raise AssertionError("q^MAJ mass disagrees with the Poincare polynomial")
     return {shape: mass / total for shape, mass in masses.items()}
 
-
-def tableau_genfun_check(shape: Partition, qp_or_q):
-    """sum_T q^MAJ(T) over standard tableaux minus its hook-product form.
-
-    The sum is read off :func:`maj_distribution`, whose counts are
-    dim(shape) times the tableau counts.  The closed form is
-    q^b(shape) * [n]_q! / prod_u [h(u)]_q in polynomial brackets, for q
-    in (0, 1]; at q = 1 both sides are dim(shape).  Returns the
-    difference, which vanishes up to rounding; passing a Fraction keeps
-    the arithmetic exact and the result is exactly zero.
-    """
-    q = getattr(qp_or_q, "q", qp_or_q)
-    if not (0 < q <= 1):
-        raise ValueError(f"q must lie in (0, 1], got {q}")
-    n = shape.size
-    data = hook_data(shape)
-    terms = [(c // data.dim) * q**m for m, c in maj_distribution(n)[shape]]
-    lhs = sum(terms) if isinstance(q, Fraction) else math.fsum(terms)
-    rhs = q**data.b_stat * poincare_polynomial(n, q)
-    for h in data.hooks:
-        rhs /= polynomial_bracket(h, q)
-    return lhs - rhs

@@ -1,10 +1,28 @@
-"""Reference routes that only the tests use."""
+"""Reference routes that only the tests use.
+
+Each is an independent route to a quantity the package computes, or an
+identity the paper rests on: exact partial-fraction weights, the Young
+lattice's covering relations, the exact harmonic function, tableau
+enumeration and its major index, and the self-similar form of the limit
+R-function.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from qplancherel import InterlacingDiagram, QParam
+from qplancherel import (
+    InterlacingDiagram,
+    Partition,
+    QParam,
+    StandardTableau,
+    hook_data,
+    poincare_polynomial,
+    solve_r_omega,
+)
+from qplancherel.qmeasure import polynomial_bracket
+from qplancherel.rsk import maj_distribution
 
 
 def above_support_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
@@ -47,3 +65,141 @@ def above_support_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...
             acc -= rows[i][j] * solution[j]
         solution[i] = acc / rows[i][i]
     return tuple(float(v) for v in solution)
+
+
+def removable_rows(lam: Partition) -> list[int]:
+    """1-based rows where a box may be removed, bottom row first."""
+    return [
+        i
+        for i in range(lam.length, 0, -1)
+        if i == lam.length or lam.parts[i - 1] > lam.parts[i]
+    ]
+
+
+def remove_box(lam: Partition, k: int) -> Partition:
+    """Remove the box at the k-th removable corner (0-based, content order)."""
+    row = removable_rows(lam)[k]
+    parts = list(lam.parts)
+    parts[row - 1] -= 1
+    if parts[row - 1] == 0:
+        parts.pop()
+    return Partition(tuple(parts))
+
+
+def successors(lam: Partition) -> list[Partition]:
+    """Partitions covering ``lam`` in the Young lattice."""
+    return [lam.add_box(k) for k in range(len(lam.addable_rows()))]
+
+
+def predecessors(lam: Partition) -> list[Partition]:
+    """Partitions covered by ``lam`` in the Young lattice."""
+    return [remove_box(lam, k) for k in range(len(removable_rows(lam)))]
+
+
+def harmonic(lam: Partition, q) -> Fraction:
+    """The harmonic function phi_q = q^b / prod_u [h(u)]_q, exactly.
+
+    ``q`` is any number in (0, 1], taken as the exact rational it
+    stores; the brackets are the polynomial ones, so q = 1 gives the
+    classical dim / n!.  The measure is dim times this.
+    """
+    qf = Fraction(q)
+    data = hook_data(lam)
+    value = qf**data.b_stat
+    for h in data.hooks:
+        value /= polynomial_bracket(h, qf)
+    return value
+
+
+def inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def descent_set_tableau(tableau: StandardTableau) -> frozenset[int]:
+    """Entries i whose successor i + 1 sits in a strictly lower row."""
+    row = {v: i for i, r in enumerate(tableau.rows) for v in r}
+    return frozenset(i for i in range(1, tableau.size) if row[i + 1] > row[i])
+
+
+def maj_tableau(tableau: StandardTableau) -> int:
+    """The major index of a standard tableau, summed over its descents."""
+    return sum(descent_set_tableau(tableau))
+
+
+def standard_tableaux(shape: Partition):
+    """Yield every standard tableau of ``shape`` (exponentially many)."""
+    n = shape.size
+    parts = shape.parts
+    rows: list[list[int]] = [[] for _ in parts]
+
+    def fill(entry: int):
+        if entry > n:
+            yield StandardTableau(tuple(tuple(r) for r in rows))
+            return
+        for i in range(len(parts)):
+            j = len(rows[i])
+            if j >= parts[i]:
+                continue
+            if i > 0 and len(rows[i - 1]) <= j:
+                continue
+            rows[i].append(entry)
+            yield from fill(entry + 1)
+            rows[i].pop()
+
+    yield from fill(1)
+
+
+def tableau_genfun_check(shape: Partition, qp_or_q):
+    """sum_T q^MAJ(T) over standard tableaux minus its hook-product form.
+
+    The sum is read off ``maj_distribution``, whose counts are dim(shape)
+    times the tableau counts.  The closed form is
+    q^b(shape) * [n]_q! / prod_u [h(u)]_q in polynomial brackets, for q
+    in (0, 1]; at q = 1 both sides are dim(shape).  Returns the
+    difference, which vanishes up to rounding; passing a Fraction keeps
+    the arithmetic exact and the result is exactly zero.
+    """
+    q = getattr(qp_or_q, "q", qp_or_q)
+    if not (0 < q <= 1):
+        raise ValueError(f"q must lie in (0, 1], got {q}")
+    n = shape.size
+    data = hook_data(shape)
+    terms = [(c // data.dim) * q**m for m, c in maj_distribution(n)[shape]]
+    lhs = sum(terms) if isinstance(q, Fraction) else math.fsum(terms)
+    rhs = q**data.b_stat * poincare_polynomial(n, q)
+    for h in data.hooks:
+        rhs /= polynomial_bracket(h, q)
+    return lhs - rhs
+
+
+def _r_scaled(u: float, rho: float) -> float:
+    # the limit R-function at Q = e^(-rho), rescaled to r = rho R / (1 - Q)
+    qp = QParam(math.exp(-rho))
+    return rho * solve_r_omega(u, qp) / (1.0 - qp.q)
+
+
+def automodel_residual(u: float, rho: float) -> float:
+    """Defect of the self-similar implicit form at scale rho.
+
+    Solves the limit equation at parameter Q = e^(-rho), rescales to
+    r = rho R / (1 - Q), and returns |r (1 - e^(-rho (u - r))) - rho|.
+    """
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    r = _r_scaled(u, rho)
+    return abs(r * -math.expm1(-rho * (u - r)) - rho)
+
+
+def automodel_pde_residual(u: float, rho: float) -> float:
+    """Central-difference defect of 2 r r_u - u r_u + rho r_rho - r = 0."""
+    step = 1e-4
+    r = _r_scaled(u, rho)
+    r_u = (_r_scaled(u + step, rho) - _r_scaled(u - step, rho)) / (2 * step)
+    r_rho = (_r_scaled(u, rho + step) - _r_scaled(u, rho - step)) / (2 * step)
+    return abs(2.0 * r * r_u - u * r_u + rho * r_rho - r)

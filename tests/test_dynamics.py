@@ -51,6 +51,11 @@ class TestOdeRhs:
         )
         assert ode_rhs((a, b, c, d))[3] == pytest.approx(expected, rel=1e-13)
 
+    def test_overflow_is_typed(self):
+        # p_1^2 leaves the double range inside the partition sum
+        with pytest.raises(MomentOverflowError, match="h_2"):
+            ode_rhs((1e200, 1e200))
+
 
 MIXED_STARTS = [(0.8, -1.4, 0.3, -2.0), (-1.3, 0.7, -0.4, 2.1)]
 
@@ -101,6 +106,11 @@ class TestIntegrator:
         assert state.y == (1.0, -1.0)
         assert state.error_estimate <= 1e-12
         assert integrate_moments((0.0, 1.0), 1.0).y == (0.0, math.exp(2.0))
+
+    def test_coefficient_overflow_is_typed(self):
+        # P_2 = y_2 + 2 y_1^2 sigma has the coefficient 2e320
+        with pytest.raises(MomentOverflowError, match="p_2 at sigma = 1.0"):
+            integrate_moments((1e160, 1e10), 1.0)
 
     def test_start_validation(self):
         for y0 in ((), (1.0, math.nan), (math.inf,)):
@@ -172,6 +182,10 @@ class TestClosedForm:
     def test_short_initial_vector(self):
         with pytest.raises(ValueError):
             closed_form(3, 0.1, (1.0, 1.0))
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(MomentOverflowError, match="p_2 at sigma = 1.0"):
+            closed_form(2, 1.0, (1e200, 1e200))
 
 
 class TestPolynomialStructure:

@@ -11,8 +11,6 @@ from qplancherel import limitshape
 from qplancherel.dynamics import limit_moments
 from qplancherel.limitshape import (
     BracketingError,
-    automodel_pde_residual,
-    automodel_residual,
     brentq,
     classical_r,
     series_h_omega,
@@ -20,6 +18,8 @@ from qplancherel.limitshape import (
 )
 from qplancherel.moments import MomentOverflowError, p_to_h
 from qplancherel.qmeasure import QParam
+
+from oracles import automodel_pde_residual, automodel_residual
 
 
 class TestClassicalR:

@@ -86,6 +86,13 @@ def test_partition_sum_matches_newton_recursion(values):
         assert direct == pytest.approx(h.moment(n), rel=1e-11, abs=1e-11)
 
 
+def test_newton_recursions_refuse_non_finite_results():
+    with pytest.raises(MomentOverflowError, match="h_2"):
+        p_to_h(MomentVector("p", (1e200, 1e200)))
+    with pytest.raises(MomentOverflowError, match="p_2"):
+        h_to_p(MomentVector("h", (1e308,) * 3))
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         MomentVector("x", (1.0,))

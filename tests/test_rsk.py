@@ -14,22 +14,25 @@ from qplancherel import (
     QParam,
     StandardTableau,
     descent_set,
-    descent_set_tableau,
     enumerate_level,
     hook_data,
     maj,
-    maj_tableau,
     poincare_polynomial,
     pushforward_exact,
     q_measure,
     q_measure_exact,
     rsk_shape,
+)
+from qplancherel.rsk import maj_distribution
+
+from conftest import partitions
+from oracles import (
+    descent_set_tableau,
+    inverse,
+    maj_tableau,
     standard_tableaux,
     tableau_genfun_check,
 )
-from qplancherel.rsk import inverse, maj_distribution
-
-from conftest import partitions
 
 
 def test_descents_and_maj():
