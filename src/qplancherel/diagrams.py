@@ -19,11 +19,15 @@ integers; floating point enters only downstream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 
 # Largest level enumerate_level lists; a level's size grows exponentially in n.
 LEVEL_CAP = 40
+# The exact types whose values the validations check in one C-level pass.
+_INT = {int}
+_REAL = {int, float}
 
 
 class CapacityError(RuntimeError):
@@ -39,6 +43,16 @@ class Partition:
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
+        # one C-level pass per condition; weakly decreasing ints are all
+        # positive when the last one is
+        if (
+            set(map(type, parts)) <= _INT
+            and all(map(operator.ge, parts, parts[1:]))
+            and (not parts or parts[-1] > 0)
+        ):
+            return
+        # the per-part scan names the first fault, or accepts the int
+        # subclasses the pass above does not know
         for p in parts:
             if not isinstance(p, int) or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {parts}")
@@ -173,15 +187,21 @@ class InterlacingDiagram:
             raise ValueError(
                 f"need one more minimum than maxima, got {len(minima)} and {len(maxima)}"
             )
-        for v in minima + maxima:
-            if not _is_number(v) or not math.isfinite(v):
-                raise ValueError(f"coordinates must be finite numbers, got {v!r}")
-        merged = []
-        for i, x in enumerate(minima):
-            merged.append(x)
-            if i < len(maxima):
-                merged.append(maxima[i])
-        if any(merged[i] >= merged[i + 1] for i in range(len(merged) - 1)):
+        coordinates = minima + maxima
+        # one C-level pass for the plain int and float case; the scan
+        # names the first fault, or accepts float subclasses such as
+        # np.float64
+        if not (
+            set(map(type, coordinates)) <= _REAL
+            and all(map(math.isfinite, coordinates))
+        ):
+            for v in coordinates:
+                if not _is_number(v) or not math.isfinite(v):
+                    raise ValueError(f"coordinates must be finite numbers, got {v!r}")
+        merged = [None] * len(coordinates)
+        merged[::2] = minima
+        merged[1::2] = maxima
+        if not all(map(operator.lt, merged, merged[1:])):
             raise ValueError(f"sequences do not strictly interlace: {merged}")
 
     @property

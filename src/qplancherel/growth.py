@@ -28,18 +28,26 @@ T[d] = log|[d]_q| and T[0] = 0; at a minimum, exp(L) is its transition
 weight, at q = 1 as at q < 1.  Growing a box at the minimum c changes
 the kinds by the stencil (+1, -2, +1) at c - 1, c, c + 1 whatever the
 neighbors were, so L gains one fixed kernel
-K[d] = 2 T[d] - T[d - 1] - T[d + 1] shifted to c.  A step is therefore
-a masked exp and cumsum per row, an inverse-CDF pick (the first minimum
-whose running sum reaches u times the total), one row add and three
-integer writes.  T is built in log space from [|d|]_q and the factor
-q^d of a negative d, so no power of q overflows.  The window doubles
-when a minimum comes within one column of its edge, and then L is
-summed afresh from the corners.  Every 512 steps L is also summed
-afresh and the normalized weights of both are compared: a difference
-beyond rtol 1e-8 raises RuntimeError, otherwise the fresh sums replace
-the incremental ones.  :func:`kernel.grow_trajectory` is the slow
-reference chain; it consumes the same variates and visits the same
-shapes.
+K[d] = 2 T[d] - T[d - 1] - T[d + 1] shifted to c.  T is built in log
+space from [|d|]_q and the factor q^d of a negative d, so no power of q
+overflows.
+
+One loop, ``_LockstepWalk.run``, drives every step.  It takes a block
+of uniforms, one row per step and one column per trial, and runs it in
+stretches that end at the next window check or drift check, binding
+its arrays once per stretch.  A step writes exp(L), capped, into one
+preallocated scratch array, multiplies it by a float mask that is 1.0
+at the minima and 0.0 elsewhere, and takes its running sum in place.
+The pick is the inverse-CDF rule: the first minimum whose running sum
+reaches u times the total.  Then one kernel row is added to L, and
+three integer writes to ``kind`` and three writes to the mask follow.
+The window doubles when a minimum comes within one column of its edge,
+and then L is summed afresh from the corners.  Every 512 steps L is
+also summed afresh and the normalized weights of both are compared: a
+difference beyond rtol 1e-8 raises RuntimeError, otherwise the fresh
+sums replace the incremental ones.  :func:`kernel.grow_trajectory` is
+the slow reference chain; it consumes the same variates and visits the
+same shapes.
 """
 
 from __future__ import annotations
@@ -241,7 +249,13 @@ class _LockstepWalk:
         kernel_row = 2.0 * table[1:-1] - table[:-2] - table[2:]
         # row c of this view is K[e - c] over the columns e
         self._kernel_rows = sliding_window_view(kernel_row, width)[::-1]
-        self._row_starts = np.arange(len(self.kind))[:, None] * width
+        # flat indices of the stencil around column 0 of each row
+        rows = np.arange(len(self.kind))[:, None]
+        self._stencil_cells = rows * width + _STENCIL_CELLS
+        # 1.0 at the minima and 0.0 elsewhere, kept in step with kind
+        self._minima = (self.kind == 1).astype(np.float64)
+        self._scratch = np.empty(self.kind.shape)
+        self._reached = np.empty(self.kind.shape, dtype=bool)
 
     def _direct_log_weights(self) -> np.ndarray:
         # the product formula in log space, summed afresh at every column
@@ -277,33 +291,65 @@ class _LockstepWalk:
         # minima move at most one column per step
         self._free = min(left, self.width - 1 - right)
 
-    def step(self, u: np.ndarray) -> None:
-        """Grow one box in every trial; ``u[b]`` is trial b's uniform variate."""
-        if self._free == 0:
-            self._fit_window()
-        weights = _minima_weights(self.log_weights, self.kind)
-        cumulative = np.cumsum(weights, axis=1)
-        # first column whose running sum reaches u * total; u = 0 keeps
-        # the first minimum, as the inverse-CDF rule does
-        threshold = np.maximum(u * cumulative[:, -1], _TINY)
-        pick = np.argmax(cumulative >= threshold[:, None], axis=1)
-        self.log_weights += self._kernel_rows[pick]
-        cells = self._row_starts + pick[:, None] + _STENCIL_CELLS
-        self.kind.reshape(-1)[cells] += _STENCIL
-        self._free -= 1
-        self._steps += 1
-        if self._steps % _RECOMPUTE_EVERY == 0:
-            self._resync()
+    def run(self, uniforms: np.ndarray) -> None:
+        """Grow one box per row of ``uniforms`` in every trial.
+
+        ``uniforms[t, b]`` is trial b's uniform variate at step t.  The
+        steps run in stretches that end at the next window check, the
+        next drift check or the end of the input, so both checks fire at
+        the same steps however the uniforms are split across calls.
+        """
+        done, total = 0, len(uniforms)
+        while done < total:
+            if self._free == 0:
+                self._fit_window()
+            stop = min(
+                total,
+                done + self._free,
+                done + _RECOMPUTE_EVERY - self._steps % _RECOMPUTE_EVERY,
+            )
+            # _fit_window and _resync replace these arrays between stretches
+            log_weights, kernel_rows = self.log_weights, self._kernel_rows
+            mask, cells = self._minima, self._stencil_cells
+            flat_kind, flat_mask = self.kind.reshape(-1), mask.reshape(-1)
+            cumulative, reached = self._scratch, self._reached
+            totals = cumulative[:, -1]
+            for u in uniforms[done:stop]:
+                # _minima_weights, written into the scratch, then its
+                # running sum
+                np.minimum(log_weights, _LOG_CAP, out=cumulative)
+                np.exp(cumulative, out=cumulative)
+                cumulative *= mask
+                np.add.accumulate(cumulative, axis=1, out=cumulative)
+                # first column whose running sum reaches u * total; u = 0
+                # keeps the first minimum, as the inverse-CDF rule does
+                threshold = np.maximum(u * totals, _TINY)
+                np.greater_equal(cumulative, threshold[:, None], out=reached)
+                pick = reached.argmax(axis=1)
+                log_weights += kernel_rows[pick]
+                grown = cells + pick[:, None]
+                flat_kind[grown] += _STENCIL
+                flat_mask[grown] = flat_kind[grown] == 1
+            self._free -= stop - done
+            self._steps += stop - done
+            done = stop
+            if self._steps % _RECOMPUTE_EVERY == 0:
+                self._resync()
 
     def _resync(self) -> None:
         direct = self._direct_log_weights()
-        exact = _minima_weights(direct, self.kind)
-        drifted = _minima_weights(self.log_weights, self.kind)
+        exact = self._minima_weights(direct)
+        drifted = self._minima_weights(self.log_weights)
         exact /= exact.sum(axis=1, keepdims=True)
         drifted /= drifted.sum(axis=1, keepdims=True)
         if not np.allclose(exact, drifted, rtol=_DRIFT_TOLERANCE, atol=1e-12):
             raise RuntimeError("incremental weights drifted from the product formula")
         self.log_weights = direct
+
+    def _minima_weights(self, log_weights: np.ndarray) -> np.ndarray:
+        # exp(L) at the minima and 0 elsewhere; the cap only guards columns
+        # that are not minima, where L is not a log-probability
+        return np.exp(np.minimum(log_weights, _LOG_CAP)) * self._minima
 
     def weights(self, row: int) -> np.ndarray:
         """Normalized transition weights of trial ``row``, in minima order."""
@@ -316,12 +362,6 @@ class _LockstepWalk:
             tuple(int(v) + self.lo for v in np.flatnonzero(kind == 1)),
             tuple(int(v) + self.lo for v in np.flatnonzero(kind == -1)),
         )
-
-
-def _minima_weights(log_weights: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    # exp(L) at the minima and 0 elsewhere; the cap only guards columns
-    # that are not minima, where L is not a log-probability
-    return np.exp(np.minimum(log_weights, _LOG_CAP)) * (kind == 1)
 
 
 def _rescaled_p_moments(
@@ -417,8 +457,7 @@ def simulate_rescaled(
         rngs = [kernel.trajectory_rng(seed, trial) for trial in batch]
         for done in range(0, n_boxes, _UNIFORM_BLOCK):
             count = min(_UNIFORM_BLOCK, n_boxes - done)
-            for u in np.array([rng.random(count) for rng in rngs]).T:
-                walk.step(u)
+            walk.run(np.array([rng.random(count) for rng in rngs]).T)
         for row, trial in enumerate(batch):
             w = walk.diagram(row)
             samples.append(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +29,28 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((1, 1, 2), "weakly decreasing"),
+        ((0, 1), "positive integers"),
+        ((-1, -2), "positive integers"),
+        ((2.0, 1), "positive integers"),
+        ((2, 1.0), "positive integers"),
+        ((np.int64(2), 1), "positive integers"),
+        ((None,), "positive integers"),
+    ],
+)
+def test_partition_rejects(parts, message):
+    with pytest.raises(ValueError, match=f"parts must be {message}, got"):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("parts", [(), (1,), (3, 3, 3), (3, 2, 2, 1)])
+def test_partition_accepts(parts):
+    assert Partition(list(parts)).parts == parts
 
 
 def test_partition_basics():
@@ -87,6 +111,54 @@ def test_interlacing_validation():
         InterlacingDiagram((0,), (1,))  # count mismatch
     with pytest.raises(ValueError):
         InterlacingDiagram((1, 0), ())  # not sorted
+
+
+@pytest.mark.parametrize(
+    "minima, maxima",
+    [
+        ((0,), ()),
+        ((-1, 1, 3), (0, 2)),
+        ((-1.5, 1.0), (0.25,)),
+        ((-1, 1), (-0.0,)),
+        ((np.float64(-1.0), 1), (0,)),
+    ],
+)
+def test_interlacing_accepts(minima, maxima):
+    w = InterlacingDiagram(list(minima), list(maxima))
+    assert (w.minima, w.maxima) == (minima, maxima)
+
+
+@pytest.mark.parametrize(
+    "minima, maxima, bad",
+    [
+        ((True, 3), (2,), "True"),
+        ((-1, 1), (False,), "False"),
+        ((np.int64(-1), 1), (0,), "np.int64(-1)"),
+        ((-2, 2), (np.float32(0.5),), "np.float32(0.5)"),
+        ((-1, 1), ("0",), "'0'"),
+        ((-math.inf, 1), (0,), "-inf"),
+        ((-1, math.inf), (0,), "inf"),
+        ((-1, 1), (math.nan,), "nan"),
+    ],
+)
+def test_interlacing_rejects_coordinates(minima, maxima, bad):
+    message = f"coordinates must be finite numbers, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InterlacingDiagram(minima, maxima)
+
+
+@pytest.mark.parametrize(
+    "minima, maxima, merged",
+    [
+        ((-1, 1), (-1,), "[-1, -1, 1]"),
+        ((-1, 1), (1,), "[-1, 1, 1]"),
+        ((-1, 1, 3), (0, 3), "[-1, 0, 1, 3, 3]"),
+        ((0, 1), (2,), "[0, 2, 1]"),
+    ],
+)
+def test_interlacing_rejects_order(minima, maxima, merged):
+    with pytest.raises(ValueError, match=re.escape(f"interlace: {merged}")):
+        InterlacingDiagram(minima, maxima)
 
 
 def test_hook_data_known():

@@ -1,6 +1,7 @@
 """Continuous deformation and the Monte Carlo limit experiment."""
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -225,8 +226,7 @@ def _walk(qp, streams, n, seed):
     # n lockstep steps, trial b driven by trajectory_rng(seed, streams[b])
     walk = _LockstepWalk(qp, len(streams))
     uniforms = [kernel.trajectory_rng(seed, s).random(n) for s in streams]
-    for u in np.array(uniforms).T:
-        walk.step(u)
+    walk.run(np.array(uniforms).T)
     return walk
 
 
@@ -280,9 +280,54 @@ class TestCornerWalk:
         cells = np.flatnonzero(corrupted.kind[1] == 1)[1:]
         cell = cells[np.argmax(corrupted.log_weights[1, cells])]
         corrupted.log_weights[1, cell] += 1e-6
-        clean.step(np.zeros(2))
+        clean.run(np.zeros((1, 2)))
         with pytest.raises(RuntimeError, match="drifted"):
-            corrupted.step(np.zeros(2))
+            corrupted.run(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_one_run_equals_single_steps(self, trials):
+        # 1300 steps cross a window regrowth and the drift checks at 512
+        # and 1024; the stretches of one run() leave every bit where
+        # 1300 one-step calls leave it
+        qp = QParam(0.55)
+        whole = _walk(qp, range(trials), 1300, seed=3)
+        stepped = _LockstepWalk(qp, trials)
+        uniforms = [kernel.trajectory_rng(3, s).random(1300) for s in range(trials)]
+        for u in np.array(uniforms).T:
+            stepped.run(u[None, :])
+        assert whole.width > _INITIAL_WIDTH
+        assert whole.lo == stepped.lo
+        assert whole.kind.tobytes() == stepped.kind.tobytes()
+        assert whole.log_weights.tobytes() == stepped.log_weights.tobytes()
+
+    def test_drift_check_inside_one_run(self):
+        # a weight corrupted at step 300 of one run() call is caught by
+        # the drift check at step 512 of the same call
+        qp = QParam(0.99)
+        walk = _LockstepWalk(qp, 2)
+        uniforms = np.array([kernel.trajectory_rng(4, s).random(600) for s in range(2)]).T
+        planted = []
+
+        class Planting:
+            # the rows of ``uniforms``, tilting trial 1's log-weights by
+            # 1e-6 per column before step 300 runs
+            def __len__(self):
+                return len(uniforms)
+
+            def __getitem__(self, block):
+                for t in range(*block.indices(len(uniforms))):
+                    if t == 300:
+                        walk.log_weights[1] += 1e-6 * np.arange(walk.width)
+                        planted.append(walk.width)
+                    yield uniforms[t]
+
+        with pytest.raises(RuntimeError, match="drifted"):
+            walk.run(Planting())
+        # the window did not regrow in between, which would have summed
+        # the weights afresh
+        assert planted == [walk.width]
+        assert walk._steps == 512
+        _walk(qp, range(2), 600, seed=4)  # the same steps, uncorrupted
 
 
 def _maj_slot(perm, k):
@@ -389,6 +434,24 @@ class TestSimulateRescaled:
             simulate_rescaled(0, QParam(0.5), 1, 1, 0)
         with pytest.raises(ValueError):
             simulate_rescaled(5, QParam(0.5), 0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "n, q, trials, n_max, seed, digest",
+        [
+            # two window regrowths and three drift checks
+            (2000, 0.5, 3, 3, 11, "39fe1e02a610cc9d5bf3270fd87aed08fd3b270e12fc119605d87a4a1fec8117"),
+            (100, 0.5, 100, 3, 12, "08ebcc03cf3221ea7ce9f13ae9f365786e79c06a58dfb2057e3a032302572951"),
+            (600, 1.0, 4, 2, 13, "fe810417f09f262752767aa86acb164daabcbf7c5c8bed55cdba519cd0fb5ac9"),
+            (80, 1e-30, 2, 1, 14, "05601fd2ae930b8acaae1cca9733bb51e035a7ed1101cf6d85af8735e279b88f"),
+        ],
+    )
+    def test_output_is_frozen(self, n, q, trials, n_max, seed, digest):
+        # the shapes and the bits of every moment, as first recorded: a
+        # change that moves one bit of the walk's output fails here, which
+        # a rerun of the same code cannot show
+        samples = simulate_rescaled(n, QParam(q), trials, n_max, seed)
+        text = repr([(s.trial, s.shape.parts, s.moments, s.abs_sums) for s in samples])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_moment_beyond_double_range_raises(self):
         # q^(-2 x) at the last minimum is past exp(700) here; p_1 is not
