@@ -30,9 +30,9 @@ mu = transition_weights(w, qp)
 print("== deforming the single box for time t = 0.09 ==")
 out = deform(w, mu, 0.09)
 print(f"old minima {w.minima}, old maxima {w.maxima}")
-print(f"new minima {tuple(round(v, 6) for v in out.diagram.minima)}")
-print(f"new maxima {out.diagram.maxima}")
-print(f"area added {out.diagram.area - w.area:.12f} (equals t)")
+print(f"new minima {tuple(round(v, 6) for v in out.minima)}")
+print(f"new maxima {out.maxima}")
+print(f"area added {out.area - w.area:.12f} (equals t)")
 
 print()
 print("== growth derivative: closed form vs finite differences ==")
@@ -56,8 +56,9 @@ print(f"  measured order: {math.log2(coarse / fine):.2f} (2 expected)")
 
 print()
 print("== rescaled Monte Carlo vs the moment flow ==")
-report = mc_limit_experiment(n_boxes=2000, qp=qp, trials=60, n_max=3, seed=4)
-print(f"n = {report.n_boxes}, trials = {report.trials}, q = {report.q}")
+n_boxes, trials = 2000, 60
+report = mc_limit_experiment(n_boxes=n_boxes, qp=qp, trials=trials, n_max=3, seed=4)
+print(f"n = {n_boxes}, trials = {trials}, q = {qp.q}")
 print(f"{'n':>3} {'estimate':>12} {'stderr':>10} {'target':>12} {'z':>7}")
 for n in range(1, 4):
     print(f"{n:>3} {report.means[n - 1]:>12.6f} {report.stderrs[n - 1]:>10.6f} "

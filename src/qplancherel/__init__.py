@@ -26,7 +26,6 @@ from .dynamics import (
 )
 from .growth import (
     DeformationError,
-    DeformedDiagram,
     McReport,
     TrajectorySample,
     deform,
@@ -87,7 +86,6 @@ __all__ = [
     "BracketingError",
     "CapacityError",
     "DeformationError",
-    "DeformedDiagram",
     "DiscreteMeasure",
     "GrowthTrajectory",
     "IntegrationAccuracyError",

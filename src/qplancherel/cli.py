@@ -224,27 +224,21 @@ def run_simulate(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("simulate needs n >= 1")
     qp = QParam(config.q)
-    # a flow target beyond the double range is a capacity error; find it
-    # before the walk rather than after
-    dynamics.limit_moments(qp, config.moments)
-    samples = growth.simulate_rescaled(
+    report = growth.mc_limit_experiment(
         config.n, qp, config.trials, config.moments, config.seed
-    )
-    report = growth.report_from_samples(
-        samples, config.n, qp, config.moments, config.seed
     )
 
     trajectories = [
         {"trial": s.trial, "shape": list(s.shape.parts), "moments": list(s.moments)}
-        for s in samples
+        for s in report.samples
     ]
     payload = {
         "trajectories": trajectories,
         "summary": {
-            "n": report.n_boxes,
-            "q": report.q,
-            "trials": report.trials,
-            "seed": report.seed,
+            "n": config.n,
+            "q": qp.q,
+            "trials": config.trials,
+            "seed": config.seed,
             "moments": list(report.means),
             "stderr": list(report.stderrs),
             "targets": list(report.targets),

@@ -52,9 +52,9 @@ class Partition:
         ):
             return
         # the per-part scan names the first fault, or accepts the int
-        # subclasses the pass above does not know
+        # subclasses the pass above does not know, but not bool
         for p in parts:
-            if not isinstance(p, int) or p <= 0:
+            if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
@@ -92,6 +92,8 @@ class Partition:
     def add_box(self, k: int) -> "Partition":
         """Add a box at the k-th addable corner (0-based, content order)."""
         rows = self.addable_rows()
+        if not 0 <= k < len(rows):
+            raise ValueError(f"corner index must lie in 0..{len(rows) - 1}, got {k}")
         row = rows[k]
         if row == self.length + 1:
             return Partition(self.parts + (1,))

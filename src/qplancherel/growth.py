@@ -19,6 +19,9 @@ whose finite-difference defect :func:`pde_residual` measures.  The
 Monte Carlo experiment runs the growth chain for n steps at parameter
 q^(1/sqrt(n)), rescales the support by 1/sqrt(n), and compares the
 Rayleigh moments at parameter q with the integrated moment flow.
+:func:`mc_limit_experiment` is the one composition of that run, for the
+library and the ``simulate`` command alike: the flow targets once, then
+:func:`simulate_rescaled`, then :func:`report_from_samples`.
 
 The chain runs in a corner walk that advances all trials of a run in
 lockstep.  Each trial is a row over a window of contents holding the
@@ -89,37 +92,29 @@ class DeformationError(ValueError):
     """The requested deformation time breaks the interlacing constraints."""
 
 
-@dataclass(frozen=True)
-class DeformedDiagram:
-    """The diagram w_t grown from ``base`` for time ``t`` with given weights."""
+def _checked_weights(w: InterlacingDiagram, weights) -> tuple[float, ...]:
+    weights = tuple(float(v) for v in weights)
+    if len(weights) != len(w.minima):
+        raise ValueError(
+            f"need one weight per minimum ({len(w.minima)}), got {len(weights)}"
+        )
+    return weights
 
-    base: InterlacingDiagram
-    weights: tuple[float, ...]
-    t: float
-    diagram: InterlacingDiagram
 
-
-def deform(
-    w: InterlacingDiagram, weights, t: float
-) -> DeformedDiagram:
-    """Attach squares of area weights[k] * t above each minimum of ``w``.
+def deform(w: InterlacingDiagram, weights, t: float) -> InterlacingDiagram:
+    """The diagram w_t: a square of area weights[k] * t above each minimum.
 
     Valid while sqrt(weights[k] * t) stays below the gap to the
     neighboring maxima and moves x_k in floating point; otherwise the
     profile is no longer a diagram and DeformationError is raised.  The
     area grows by exactly t when the weights sum to one.
     """
-    weights = tuple(float(v) for v in weights)
-    if len(weights) != len(w.minima):
-        raise ValueError(
-            f"need one weight per minimum ({len(w.minima)}), got {len(weights)}"
-        )
+    weights = _checked_weights(w, weights)
     if any(v <= 0 for v in weights):
         raise ValueError(f"weights must be positive, got {weights}")
     if t <= 0:
         raise ValueError(f"deformation time must be positive, got {t}")
-    x = w.minima
-    y = w.maxima
+    x, y = w.minima, w.maxima
     new_minima = []
     for k, xk in enumerate(x):
         offset = math.sqrt(weights[k] * t)
@@ -133,10 +128,7 @@ def deform(
         if xk - offset == xk or xk + offset == xk:
             raise DeformationError(f"offset {offset} does not move minimum {xk}")
         new_minima.extend((xk - offset, xk + offset))
-    new_maxima = sorted(x + y)
-    return DeformedDiagram(
-        w, weights, float(t), InterlacingDiagram(tuple(new_minima), tuple(new_maxima))
-    )
+    return InterlacingDiagram(tuple(new_minima), tuple(sorted(x + y)))
 
 
 def deformed_r(
@@ -152,13 +144,8 @@ def deformed_r(
     analytic in t, so negative t evaluates its continuation; that is
     what the central finite differences of :func:`pde_residual` use.
     """
-    weights = tuple(float(v) for v in weights)
-    if len(weights) != len(w.minima):
-        raise ValueError(
-            f"need one weight per minimum ({len(w.minima)}), got {len(weights)}"
-        )
-    base = r_diagram(w, qp, x)
-    value = base
+    weights = _checked_weights(w, weights)
+    value = r_diagram(w, qp, x)
     if qp.is_classical:
         for k, xk in enumerate(w.minima):
             d = x - xk
@@ -192,7 +179,7 @@ def growth_derivative(
         weights = kernel.transition_weights(w, qp)
     total = math.fsum(
         v * math.exp(-(x - xk) * qp.log_inv) / qp.bracket(x - xk) ** 2
-        for xk, v in zip(w.minima, weights)
+        for xk, v in zip(w.minima, _checked_weights(w, weights))
     )
     return r_diagram(w, qp, x) * qp.c**2 * total
 
@@ -351,11 +338,6 @@ class _LockstepWalk:
         # that are not minima, where L is not a log-probability
         return np.exp(np.minimum(log_weights, _LOG_CAP)) * self._minima
 
-    def weights(self, row: int) -> np.ndarray:
-        """Normalized transition weights of trial ``row``, in minima order."""
-        weights = np.exp(self.log_weights[row][self.kind[row] == 1])
-        return weights / weights.sum()
-
     def diagram(self, row: int) -> InterlacingDiagram:
         kind = self.kind[row]
         return InterlacingDiagram(
@@ -403,13 +385,9 @@ class TrajectorySample:
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte Carlo estimates next to their exact targets."""
+    """Simulated trajectories, their moment estimates and the flow targets."""
 
-    n_boxes: int
-    q: float
-    trials: int
-    n_moments: int
-    seed: int
+    samples: tuple[TrajectorySample, ...]
     means: tuple[float, ...]
     stderrs: tuple[float, ...]
     targets: tuple[float, ...]
@@ -471,13 +449,9 @@ def simulate_rescaled(
 
 
 def report_from_samples(
-    samples: list[TrajectorySample],
-    n_boxes: int,
-    qp: QParam,
-    n_max: int,
-    seed: int,
+    samples: list[TrajectorySample], targets: tuple[float, ...]
 ) -> McReport:
-    """Aggregate already-simulated trajectories against the moment flow."""
+    """Aggregate already-simulated trajectories next to the flow ``targets``."""
     trials = len(samples)
     data = np.array([s.moments for s in samples])
     # Squares of moments past ~1e154 overflow, so each column is taken at
@@ -491,15 +465,10 @@ def report_from_samples(
     if trials > 1:
         stderrs = np.ldexp(data.std(axis=0, ddof=1) / math.sqrt(trials), exps)
     else:
-        stderrs = np.zeros(n_max)
+        stderrs = np.zeros_like(means)
     abs_sums = np.array([s.abs_sums for s in samples]).mean(axis=0)
-    targets = dynamics.limit_moments(qp, n_max).values
     return McReport(
-        n_boxes=n_boxes,
-        q=qp.q,
-        trials=trials,
-        n_moments=n_max,
-        seed=seed,
+        samples=tuple(samples),
         means=tuple(float(v) for v in means),
         stderrs=tuple(float(v) for v in stderrs),
         targets=tuple(targets),
@@ -519,6 +488,6 @@ def mc_limit_experiment(
     The flow targets are evaluated first, so a target beyond the double
     range raises MomentOverflowError before any trajectory is walked.
     """
-    dynamics.limit_moments(qp, n_max)
+    targets = dynamics.limit_moments(qp, n_max).values
     samples = simulate_rescaled(n_boxes, qp, trials, n_max, seed)
-    return report_from_samples(samples, n_boxes, qp, n_max, seed)
+    return report_from_samples(samples, targets)

@@ -154,9 +154,6 @@ class GrowthTrajectory:
     """A sampled growth chain empty = states[0] < states[1] < ... ."""
 
     states: tuple[Partition, ...]
-    q: float
-    seed: int
-    stream: int
 
     @property
     def final(self) -> Partition:
@@ -182,4 +179,4 @@ def grow_trajectory(
         k = sample_index(weights, rng.random())
         current = current.add_box(k)
         states.append(current)
-    return GrowthTrajectory(tuple(states), qp.q, seed, stream)
+    return GrowthTrajectory(tuple(states))

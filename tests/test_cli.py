@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, headers, formats."""
 
+import hashlib
 import json
 import math
 import statistics
@@ -257,6 +258,26 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--out", str(a)]) == EXIT_OK
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ("", "55f94799636dda86c31ae56a263095cf8a4db151dce6edfff1d1bc74448e5609"),
+            ("--format json", "33e9077f39c0cf6bff847700d76625d938eb42535b02e2942f255f6f1bbc42c7"),
+            ("--q 1 --n 50 --trials 4", "41e37009af33b645e4d9b3916aa88ec1d336e6295af621306f3f83e1142ef9fd"),
+            (
+                "--q 0.5 --n 2000 --trials 3 --seed 12345 --format json",
+                "a520c97a28fee7b1de6877f5af5ebb0c5e158fc060d77cef53e487a611ce017a",
+            ),
+        ],
+    )
+    def test_stdout_is_frozen(self, flags, digest, capsys):
+        # every byte of the trajectories, summary and header as first
+        # recorded: a change that moves one bit of the report fails here,
+        # which a rerun of the same code cannot show
+        assert main(["simulate", *flags.split()]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_flags_beat_config(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -41,6 +41,8 @@ def test_partition_validation():
         ((2, 1.0), "positive integers"),
         ((np.int64(2), 1), "positive integers"),
         ((None,), "positive integers"),
+        ((2, True), "positive integers"),
+        ((True,), "positive integers"),
     ],
 )
 def test_partition_rejects(parts, message):
@@ -59,6 +61,13 @@ def test_partition_basics():
     assert lam.length == 3
     assert lam.conjugate() == Partition((3, 2, 1, 1))
     assert lam.conjugate().conjugate() == lam
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_add_box_rejects_corner_out_of_range(k):
+    # (2, 1) has three addable corners; a negative index must not wrap
+    with pytest.raises(ValueError, match=r"corner index must lie in 0\.\.2"):
+        Partition((2, 1)).add_box(k)
 
 
 @given(partitions())

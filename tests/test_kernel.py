@@ -79,7 +79,7 @@ def test_oracle_rejects_non_integer_diagram():
     # a deformed profile has real corners; the oracle must not truncate them
     qp = QParam(0.5)
     base = to_interlacing(Partition((2, 1)))
-    moved = deform(base, transition_weights(base, qp), 0.01).diagram
+    moved = deform(base, transition_weights(base, qp), 0.01)
     with pytest.raises(ValueError, match="integer corner"):
         partial_fraction_weights(moved, qp)
 
@@ -136,7 +136,7 @@ def test_real_corner_weights(q):
     tolerance = CHECKS["markov_krein"][1]
     for parts in ((1,), (3, 1), (4, 4, 2, 1), (70,)):
         base = to_interlacing(Partition(parts))
-        w = deform(base, transition_weights(base, qp), 0.05).diagram
+        w = deform(base, transition_weights(base, qp), 0.05)
         assert any(v != int(v) for v in w.minima)
         mu = transition_weights(w, qp)
         assert all(v > 0 for v in mu)
