@@ -68,8 +68,8 @@ def ode_rhs(y) -> tuple[float, ...]:
 def closed_form(n: int, sigma: float, y0) -> float:
     """Exact y_n(sigma) for n <= 4: a degree n - 1 polynomial times e^(n sigma).
 
-    ``y0`` supplies the initial values y_1(0)..y_n(0).  A value that is
-    not finite raises MomentOverflowError.
+    ``y0`` supplies the initial values y_1(0)..y_n(0).  Non-finite inputs
+    raise ValueError; a value that is not finite raises MomentOverflowError.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"closed forms cover n = 1..4, got {n}")
@@ -78,6 +78,8 @@ def closed_form(n: int, sigma: float, y0) -> float:
         raise ValueError(f"need {n} initial values, got {len(y0)}")
     a, b, c, d = y0[:n] + (0.0,) * (4 - n)
     s = float(sigma)
+    if not all(map(math.isfinite, (s,) + y0[:n])):
+        raise ValueError(f"sigma and y0 must be finite, got {s} and {y0[:n]}")
     try:
         if n == 1:
             poly = a
@@ -221,6 +223,8 @@ def integrate_moments(y0, sigma_end: float) -> OdeState:
     if not y0 or not all(map(math.isfinite, y0)):
         raise ValueError(f"y0 must be a non-empty vector of finite values, got {y0}")
     sigma = float(sigma_end)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma_end must be finite, got {sigma}")
     y, defect = _exact_flow(y0, sigma, f"at sigma = {sigma}")
     return OdeState(sigma, y, defect)
 

@@ -152,16 +152,22 @@ def deformed_r(
             value *= d * d / (d * d - weights[k] * t)
         return value
     rho = qp.log_inv
-    for k, xk in enumerate(w.minima):
-        d = x - xk
-        qd = math.exp(-d * rho)
-        arg = weights[k] * t
-        if arg >= 0:
-            hump = math.cosh(math.sqrt(arg) * rho)
-        else:
-            hump = math.cos(math.sqrt(-arg) * rho)
-        pair = 1.0 + qd * qd - 2.0 * qd * hump
-        value *= (1.0 - qd) ** 2 / pair
+    try:
+        for k, xk in enumerate(w.minima):
+            d = x - xk
+            qd = math.exp(-d * rho)
+            arg = weights[k] * t
+            if arg >= 0:
+                hump = math.cosh(math.sqrt(arg) * rho)
+            else:
+                hump = math.cos(math.sqrt(-arg) * rho)
+            pair = 1.0 + qd * qd - 2.0 * qd * hump
+            value *= (1.0 - qd) ** 2 / pair
+    except OverflowError:
+        raise MomentOverflowError(
+            f"a corner factor at x = {x}, t = {t}, q = {qp.q} "
+            f"exceeds the floating-point range"
+        ) from None
     return value
 
 
@@ -177,10 +183,16 @@ def growth_derivative(
     """
     if weights is None:
         weights = kernel.transition_weights(w, qp)
-    total = math.fsum(
-        v * math.exp(-(x - xk) * qp.log_inv) / qp.bracket(x - xk) ** 2
-        for xk, v in zip(w.minima, _checked_weights(w, weights))
-    )
+    weights = _checked_weights(w, weights)
+    try:
+        total = math.fsum(
+            v * math.exp(-(x - xk) * qp.log_inv) / qp.bracket(x - xk) ** 2
+            for xk, v in zip(w.minima, weights)
+        )
+    except OverflowError:
+        raise MomentOverflowError(
+            f"q^d / [d]_q^2 at x = {x}, q = {qp.q} exceeds the floating-point range"
+        ) from None
     return r_diagram(w, qp, x) * qp.c**2 * total
 
 

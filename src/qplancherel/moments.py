@@ -59,6 +59,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         if len(locations) != len(weights):
             raise ValueError("locations and weights must have equal length")
+        if not all(map(math.isfinite, locations + weights)):
+            raise ValueError(f"atoms must be finite: {locations}, {weights}")
         if any(
             locations[i] >= locations[i + 1] for i in range(len(locations) - 1)
         ):
@@ -234,9 +236,13 @@ def r_diagram(w: InterlacingDiagram, qp: QParam, x: float) -> float:
 
 def r_measure(mu: DiscreteMeasure, qp: QParam, x: float) -> float:
     """R(x; q) from the atom sum sum_i w_i / [x - s_i]_q."""
-    return math.fsum(
-        v / _pole_bracket(qp, x, s) for s, v in zip(mu.locations, mu.weights)
-    )
+    terms = [v / _pole_bracket(qp, x, s) for s, v in zip(mu.locations, mu.weights)]
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise MomentOverflowError(
+            f"the atom sum at x = {x}, q = {qp.q} exceeds the floating-point range"
+        ) from None
 
 
 def _pole_bracket(qp: QParam, x: float, pole: float) -> float:

@@ -63,13 +63,19 @@ class QParam:
         """[d]_q = (1 - q^d) / (1 - q) for d of either sign; d at q = 1.
 
         ``d`` is a number or a float ndarray, taken elementwise.  A number
-        goes through ``math.expm1``, so scalar brackets keep their bits.
+        goes through ``math.expm1``, so scalar brackets keep their bits;
+        one beyond the double range raises MomentOverflowError.
         """
         if self.is_classical:
             return d
         if isinstance(d, np.ndarray):
             return -np.expm1(-d * self.log_inv) / self.one_minus_q
-        return -math.expm1(-d * self.log_inv) / self.one_minus_q
+        try:
+            return -math.expm1(-d * self.log_inv) / self.one_minus_q
+        except OverflowError:
+            raise MomentOverflowError(
+                f"[{d}]_q at q = {self.q} exceeds the floating-point range"
+            ) from None
 
 
 def polynomial_bracket(k: int, q):

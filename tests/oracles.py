@@ -3,7 +3,8 @@
 Each is an independent route to a quantity the package computes, or an
 identity the paper rests on: exact partial-fraction weights, the Young
 lattice's covering relations, the exact harmonic function, tableau
-enumeration and its major index, and the self-similar form of the limit
+enumeration and its major index, an exact sampler of the q-Plancherel
+measure (RSK of geometric words), and the self-similar form of the limit
 R-function.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from qplancherel import (
     InterlacingDiagram,
@@ -22,7 +25,7 @@ from qplancherel import (
     solve_r_omega,
 )
 from qplancherel.qmeasure import polynomial_bracket
-from qplancherel.rsk import maj_distribution
+from qplancherel.rsk import maj_distribution, rsk_shape
 
 
 def above_support_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
@@ -176,6 +179,23 @@ def tableau_genfun_check(shape: Partition, qp_or_q):
     for h in data.hooks:
         rhs /= polynomial_bracket(h, q)
     return lhs - rhs
+
+
+def geometric_word_shape(n: int, q: float, rng: np.random.Generator) -> Partition:
+    """RSK shape of n i.i.d. letters with P(k) proportional to q^k.
+
+    The shape's law is (1 - q)^n f^lambda s_lambda(1, q, q^2, ...), which
+    the principal specialization (Stanley, EC2, Cor. 7.21.3) makes
+    f^lambda q^b(lambda) / prod [h]_q, the measure of ``q_measure``.
+    Equal letters are standardized left to right, which keeps the shape;
+    at q = 1 the word is a uniform permutation.
+    """
+    if q == 1.0:
+        perm = rng.permutation(n) + 1
+    else:
+        perm = np.empty(n, dtype=np.int64)
+        perm[np.argsort(rng.geometric(1.0 - q, n), kind="stable")] = np.arange(1, n + 1)
+    return rsk_shape(tuple(perm.tolist()))[0].shape
 
 
 def _r_scaled(u: float, rho: float) -> float:

@@ -39,6 +39,9 @@ class TestRunConfig:
             RunConfig(command="verify", trials=0).validate()
         with pytest.raises(ConfigError):
             RunConfig(command="verify", format="yaml").validate()
+        for field, value in (("n", -1), ("moments", 0), ("seed", -1)):
+            with pytest.raises(ConfigError, match=f"{field} must be"):
+                RunConfig(command="verify", **{field: value}).validate()
 
 
 class TestConfigFile:
@@ -109,6 +112,11 @@ class TestExitCodes:
     def test_zero_trials(self, capsys):
         assert main(["simulate", "--trials", "0"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["simulate", "pushforward"])
+    def test_zero_boxes(self, command, capsys):
+        assert main([command, "--n", "0"]) == EXIT_CONFIG
+        assert f"{command} needs n >= 1" in capsys.readouterr().err
 
     def test_limit_shape_classical_parameter(self, capsys):
         argv = ["limit-shape", "--q", "1.0", "--format", "json"]

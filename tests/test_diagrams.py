@@ -100,6 +100,20 @@ def test_interlacing_roundtrip(lam):
     assert from_interlacing(to_interlacing(lam)) == lam
 
 
+@pytest.mark.parametrize(
+    "minima,maxima,message",
+    [
+        ((-1.5, 1.0), (0.0,), "integer corner contents"),
+        ((-3, -1), (-2,), "not the corner profile of a partition"),
+        ((-2, 1), (0,), "off center"),
+    ],
+    ids=["non_integer", "not_a_profile", "off_center"],
+)
+def test_from_interlacing_rejects(minima, maxima, message):
+    with pytest.raises(ValueError, match=message):
+        from_interlacing(InterlacingDiagram(minima, maxima))
+
+
 @given(partitions(max_boxes=20))
 def test_interlacing_structure(lam):
     w = to_interlacing(lam)

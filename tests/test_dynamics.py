@@ -116,6 +116,9 @@ class TestIntegrator:
         for y0 in ((), (1.0, math.nan), (math.inf,)):
             with pytest.raises(ValueError):
                 integrate_moments(y0, 1.0)
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                integrate_moments((1.0, 1.0), sigma)
 
     def test_single_moment_exponential(self):
         state = integrate_moments((1.0,), 1.0)
@@ -178,6 +181,13 @@ class TestClosedForm:
             closed_form(5, 0.1, (1.0,) * 5)
         with pytest.raises(ValueError):
             closed_form(0, 0.1, (1.0,))
+        for sigma, y0 in (
+            (math.nan, (1.0, 1.0)),
+            (math.inf, (1.0, 1.0)),
+            (1.0, (1.0, math.nan)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                closed_form(2, sigma, y0)
 
     def test_short_initial_vector(self):
         with pytest.raises(ValueError):
@@ -186,6 +196,9 @@ class TestClosedForm:
     def test_overflow_is_typed(self):
         with pytest.raises(MomentOverflowError, match="p_2 at sigma = 1.0"):
             closed_form(2, 1.0, (1e200, 1e200))
+        # a**3 raises inside the polynomial rather than returning inf
+        with pytest.raises(MomentOverflowError, match="p_3 at sigma = 1.0"):
+            closed_form(3, 1.0, (1e200, 1.0, 1.0))
 
 
 class TestPolynomialStructure:

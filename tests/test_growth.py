@@ -4,13 +4,19 @@ import functools
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp
 
-from qplancherel import kernel, rsk
-from qplancherel.diagrams import Partition, from_interlacing, to_interlacing
+from qplancherel import kernel
+from qplancherel.diagrams import (
+    Partition,
+    enumerate_level,
+    from_interlacing,
+    to_interlacing,
+)
 from qplancherel.growth import (
     _INITIAL_WIDTH,
     DeformationError,
@@ -29,9 +35,10 @@ from qplancherel.moments import (
     r_measure,
     transition_measure,
 )
-from qplancherel.qmeasure import QParam
+from qplancherel.qmeasure import QParam, q_measure
 
 from conftest import random_partitions
+from oracles import geometric_word_shape
 
 
 class TestDeform:
@@ -124,6 +131,20 @@ class TestDeformedR:
             r_diagram(out, qp, 5.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "t,x,match",
+        [
+            (0.01, -200.0, r"\[-199.0\]_q at q = 0.001"),  # the R-function's bracket
+            (0.01, -60.0, "x = -60.0, t = 0.01"),  # (1 - q^d)^2
+            (1e6, 10.0, "x = 10.0, t = 1000000.0"),  # cosh of the hump
+        ],
+        ids=["bracket", "square", "cosh"],
+    )
+    def test_overflow_is_typed(self, t, x, match):
+        w = to_interlacing(Partition((1,)))
+        with pytest.raises(MomentOverflowError, match=match):
+            deformed_r(w, (0.5, 0.5), t, QParam(1e-3), x)
+
 
 class TestGrowthDerivative:
     @pytest.mark.parametrize(
@@ -156,6 +177,13 @@ class TestGrowthDerivative:
             - deformed_r(w, weights, -t, qp, 4.0)
         ) / (2.0 * t)
         assert growth_derivative(w, qp, 4.0) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("x", [-200.0, -60.0])
+    def test_overflow_is_typed(self, x):
+        # q^d itself, then [d]_q^2, leave the double range below the support
+        w = to_interlacing(Partition((1,)))
+        with pytest.raises(MomentOverflowError, match=f"x = {x}, q = 0.001"):
+            growth_derivative(w, QParam(1e-3), x)
 
     def test_wrong_weight_count_rejected(self):
         # (2, 1) has three minima; one weight must not be zipped silently
@@ -341,75 +369,59 @@ class TestCornerWalk:
         _walk(qp, range(2), 600, seed=4)  # the same steps, uncorrupted
 
 
-def _maj_slot(perm, k):
-    # The slot (insert before index s) at which the value len(perm) + 1
-    # raises MAJ by k: the last slot by 0, the descent slots right to
-    # left by 1..d, the other slots left to right by d + 1..len(perm).
-    i = len(perm) + 1
-    if k == 0:
-        return i - 1
-    descents = [s for s in range(1, i - 1) if perm[s - 1] > perm[s]]
-    if k <= len(descents):
-        return descents[-k]
-    others = [s for s in range(i - 1) if s not in descents]
-    return others[k - len(descents) - 1]
-
-
-def _maj_biased_permutation(n, q, rng):
-    # Insert 1..n in turn; Z_i = sum_{k<i} q^k factors the q^MAJ mass,
-    # so a truncated-geometric increment per insertion samples q^MAJ.
-    # At q = 1 the increment is uniform.
-    perm = []
-    log_q = math.log(q)
-    for i in range(1, n + 1):
-        u = rng.random()
-        if log_q == 0.0:
-            k = int(u * i)
-        else:
-            k = int(math.log1p(u * math.expm1(i * log_q)) / log_q)
-        perm.insert(_maj_slot(perm, min(k, i - 1)), i)
-    return tuple(perm)
-
-
 def _statistics(shapes):
     return tuple(s.parts[0] for s in shapes), tuple(len(s.parts) for s in shapes)
 
 
 @functools.cache
-def _rsk_statistics(n, q):
+def _rsk_statistics(n, q, words=400):
     rng = np.random.default_rng(1)
-    return _statistics(
-        [rsk.rsk_shape(_maj_biased_permutation(n, q, rng))[0].shape for _ in range(400)]
-    )
+    return _statistics([geometric_word_shape(n, q, rng) for _ in range(words)])
 
 
-def _walk_statistics(n, q):
+def _walk_statistics(n, q, trials=400):
     # simulate_rescaled runs the chain at (q^sqrt(n))^(1/sqrt(n)) = q
-    samples = simulate_rescaled(n, QParam(q ** math.sqrt(n)), 400, 1, seed=5)
+    samples = simulate_rescaled(n, QParam(q ** math.sqrt(n)), trials, 1, seed=5)
     return _statistics([s.shape for s in samples])
 
 
 class TestMajOracle:
-    """The walk's level-n shapes against RSK shapes of q^MAJ permutations.
+    """The walk's level-n shapes against RSK shapes of geometric words.
 
-    An independent route to the q-Plancherel measure at sizes exhaustive
-    push-forward cannot reach.
+    RSK of n i.i.d. letters with P(k) proportional to q^k has the
+    q-Plancherel law at level n exactly, as the q^MAJ push-forward does,
+    so this is an independent route to the measure at sizes exhaustive
+    push-forward cannot reach.  It also sees the walk at q = 1, where
+    every Rayleigh moment is exactly 1 and the Monte Carlo gate cannot.
     """
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_slot_labelling_matches_maj(self, n):
-        for perm in itertools.permutations(range(1, n)):
-            base = rsk.maj(perm) if perm else 0
-            slots = set()
-            for k in range(n):
-                s = _maj_slot(perm, k)
-                assert rsk.maj(perm[:s] + (n,) + perm[s:]) - base == k
-                slots.add(s)
-            assert len(slots) == n
+    @pytest.mark.parametrize("q", [0.4, 1.0])
+    def test_word_shapes_follow_q_measure(self, q):
+        # chi^2 at level 6; the rarest shapes share one bin of at least
+        # 5 expected counts
+        rng = np.random.default_rng(1)
+        words = 10_000
+        counts = Counter(geometric_word_shape(6, q, rng) for _ in range(words))
+        qp = QParam(q)
+        shapes = sorted(enumerate_level(6), key=lambda lam: q_measure(lam, qp))
+        expected = [words * q_measure(lam, qp) for lam in shapes]
+        observed = [counts[lam] for lam in shapes]
+        k = next(i for i, e in enumerate(itertools.accumulate(expected)) if e >= 5)
+        observed = [sum(observed[: k + 1])] + observed[k + 1 :]
+        expected = [sum(expected[: k + 1])] + expected[k + 1 :]
+        assert sum(observed) == words
+        assert chisquare(observed, expected).pvalue > 0.001
 
     @pytest.mark.parametrize("n,q", [(50, 0.8), (200, 0.95), (200, 1.0)])
     def test_walk_shapes_match_rsk_shapes(self, n, q):
         for ours, theirs in zip(_walk_statistics(n, q), _rsk_statistics(n, q)):
+            assert ks_2samp(ours, theirs).pvalue > 0.001
+
+    @pytest.mark.parametrize("rescaled_q", [0.5, 1.0])
+    def test_walk_shapes_match_rsk_shapes_at_2500_boxes(self, rescaled_q):
+        q = rescaled_q ** (1 / 50)
+        walk, words = _walk_statistics(2500, q, 200), _rsk_statistics(2500, q, 150)
+        for ours, theirs in zip(walk, words):
             assert ks_2samp(ours, theirs).pvalue > 0.001
 
     def test_comparison_rejects_shifted_parameter(self):

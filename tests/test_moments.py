@@ -40,6 +40,13 @@ def test_discrete_measure_validation():
         DiscreteMeasure((1.0, 0.0), (0.5, 0.5))  # locations must increase
     with pytest.raises(ValueError):
         DiscreteMeasure((0.0,), (0.5, 0.5))  # length mismatch
+    for locations, weights in (
+        ((math.nan, 1.0), (0.5, 0.5)),
+        ((0.0, math.inf), (0.5, 0.5)),
+        ((0.0, 1.0), (0.5, math.nan)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(locations, weights)
     mu = DiscreteMeasure((-1.0, 1.0), (0.25, 0.75))
     assert mu.total_mass == pytest.approx(1.0)
 
@@ -89,6 +96,9 @@ def test_partition_sum_matches_newton_recursion(values):
 def test_newton_recursions_refuse_non_finite_results():
     with pytest.raises(MomentOverflowError, match="h_2"):
         p_to_h(MomentVector("p", (1e200, 1e200)))
+    # finite terms whose sum leaves the double range inside fsum
+    with pytest.raises(MomentOverflowError, match="h_2"):
+        p_to_h(MomentVector("p", (1e154, 1.7e308)))
     with pytest.raises(MomentOverflowError, match="p_2"):
         h_to_p(MomentVector("h", (1e308,) * 3))
 
@@ -152,6 +162,36 @@ def test_r_functions_agree_classical():
         assert r_diagram(w, QParam(1.0), x) == pytest.approx(
             r_measure(mu, QParam(1.0), x), rel=1e-12
         )
+
+
+_ONE_BOX = to_interlacing(Partition((1,)))
+_ONE_BOX_MU = transition_measure(_ONE_BOX, QParam(0.5))
+_BRACKET = r"\[-199.0\]_q at q = 0.001"
+
+
+@pytest.mark.parametrize(
+    "evaluate,q,match",
+    [
+        (lambda qp: r_diagram(_ONE_BOX, qp, -200.0), 1e-3, _BRACKET),
+        (lambda qp: r_measure(_ONE_BOX_MU, qp, -200.0), 1e-3, _BRACKET),
+        (
+            lambda qp: markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, qp, [-200.0]),
+            1e-3,
+            _BRACKET,
+        ),
+        (
+            lambda qp: r_measure(DiscreteMeasure((0.0, 1.0), (1.7e308,) * 2), qp, 2.0),
+            1.0,
+            "atom sum at x = 2.0",
+        ),
+    ],
+    ids=["r_diagram", "r_measure", "markov_krein_residual", "atom_sum"],
+)
+def test_r_function_overflow_is_typed(evaluate, q, match):
+    # far below the support at small q, q^(x - s) leaves the double range;
+    # at q = 1, two finite atom terms sum past it
+    with pytest.raises(MomentOverflowError, match=match):
+        evaluate(QParam(q))
 
 
 def test_r_diagram_pole_guard():
