@@ -16,9 +16,15 @@ converts p-moments to h-moments.  The first equations read
 
 The right-hand side is weighted-homogeneous, so from any initial data
 y0 each y_n is exp(n sigma) times a polynomial P_n of degree n - 1 in
-sigma: the reduced moments obey P_n' = n sum_{k<n} P_k H_{n-k} with
-P_n(0) = y0_n, where H are the h-moments of P from the Newton recursion.
-This integrates exactly in rationals.  ``integrate_moments`` evaluates
+sigma.  Along the characteristics H(z) = H0(z exp(sigma H(z))) of
+H = exp(sum_n y_n z^n / n), Lagrange-Buermann inversion (Stanley, EC2,
+section 5.4) gives P_n in closed form,
+
+    P_n(sigma) = sum_j (n sigma)^j / j! [w^n] P0(w) h0(w)^j,
+
+with P0(w) = sum_k y0_k w^k and h0 = H0 - 1 the h-moments of y0.  From
+all-ones P0 = h0 = w / (1 - w), and P_n(sigma) = L_{n-1}(-n sigma) is a
+Laguerre polynomial.  ``integrate_moments`` evaluates
 y_n = exp(n sigma) P_n(sigma) from any y0, and ``limit_moments`` is its
 all-ones case at sigma = ln^2(q), the limiting Rayleigh moments of the
 rescaled process at parameter q.  The hand-written ``closed_form`` for
@@ -40,7 +46,7 @@ from .qmeasure import QParam
 # Largest relative defect of the exact flow against ode_rhs.
 _FLOW_DEFECT_TOL = 1e-12
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-# Prefixes of initial vectors whose exact polynomials are kept.
+# Initial vectors whose coefficient tables (all orders) are kept.
 _FLOW_CACHE_SIZE = 1024
 
 
@@ -111,45 +117,41 @@ def limit_sigma(qp: QParam) -> float:
     return qp.log_inv**2
 
 
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=_FLOW_CACHE_SIZE)
-def _reduced_flow(y0: tuple[float, ...]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact (P_n, H_n), n = len(y0), of the flow from y0, ascending in sigma.
+def _flow_coefficients(
+    y0: tuple[float, ...],
+) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """Float coefficients of P_n and of n P_n + P_n' for n = 1..len(y0).
 
-    P_n' = n sum_{k<n} P_k H_{n-k} with P_n(0) = y0_n, and the Newton
-    recursion n H_n = P_n + sum_{k<n} P_k H_{n-k}.  P_k and H_k depend
-    on y0_1..y0_k only, so the recursion runs on the prefixes of y0.
+    Entry n - 1 holds both, ascending in sigma: y_n and dy_n/dsigma with
+    the factor exp(n sigma) taken out.  Coefficient j of P_n is
+    n^j / j! [w^n] P0(w) h0(w)^j, exact in rationals and rounded once.
+    The table ends before the first order with a coefficient beyond the
+    floating-point range.
     """
-    n = len(y0)
-    slope = [Fraction(0)] * (n - 1)
-    for k in range(1, n):
-        product = _poly_mul(_reduced_flow(y0[:k])[0], _reduced_flow(y0[: n - k])[1])
-        for i, c in enumerate(product):
-            slope[i] += n * c
-    p = (Fraction(y0[-1]),) + tuple(c / (i + 1) for i, c in enumerate(slope))
-    h = tuple((p[i] + slope[i] / n) / n for i in range(n - 1)) + (p[-1] / n,)
-    return p, h
-
-
-@lru_cache(maxsize=_FLOW_CACHE_SIZE)
-def _flow_coefficients(y0: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Float coefficients of P_n and of n P_n + P_n', n = len(y0), ascending in sigma.
-
-    These are y_n and dy_n/dsigma with the factor exp(n sigma) taken out.
-    """
-    n = len(y0)
-    p = _reduced_flow(y0)[0]
-    slope = [n * c for c in p]
-    for i in range(1, n):
-        slope[i - 1] += i * p[i]
-    return tuple(float(c) for c in p), tuple(float(c) for c in slope)
+    size = len(y0)
+    p0 = [Fraction(0)] + [Fraction(v) for v in y0]
+    h0 = [Fraction(1)]
+    for n in range(1, size + 1):  # Newton: n h_n = sum_k p_k h_{n-k}
+        h0.append(sum(p0[k] * h0[n - k] for k in range(1, n + 1)) / n)
+    # series[j][m] = [w^m] P0 h0^j, which vanishes for m <= j
+    series = [p0]
+    for j in range(1, size):
+        prev = series[-1]
+        series.append([Fraction(0)] * (j + 1) + [
+            sum(prev[i] * h0[m - i] for i in range(j, m)) for m in range(j + 1, size + 1)
+        ])
+    table = []
+    for n in range(1, size + 1):
+        c = [Fraction(n**j, math.factorial(j)) * series[j][n] for j in range(n)] + [0]
+        try:
+            table.append((
+                tuple(float(c[j]) for j in range(n)),
+                tuple(float(n * c[j] + (j + 1) * c[j + 1]) for j in range(n)),
+            ))
+        except OverflowError:  # float() of an exact coefficient
+            break
+    return tuple(table)
 
 
 def _horner(coeffs: tuple[float, ...], s: float) -> float:
@@ -180,15 +182,15 @@ def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[
         raise CapacityError(
             f"moment flow requested to order {len(y0)}, above the cap {LEVEL_CAP}"
         )
+    table = _flow_coefficients(y0)
     reduced, amplitudes, slopes, values = [], [], [], []
     for n in range(1, len(y0) + 1):
-        try:
-            p_coeffs, slope_coeffs = _flow_coefficients(y0[:n])
-        except OverflowError:  # float() of an exact coefficient
+        if n > len(table):
             raise MomentOverflowError(
                 f"moment p_{n} {where}: a coefficient of its flow polynomial "
                 "exceeds the floating-point range"
-            ) from None
+            )
+        p_coeffs, slope_coeffs = table[n - 1]
         p = _horner(p_coeffs, sigma)
         # exp(n sigma) itself must stay finite, even where |P_n| < 1
         if n * sigma + math.log(max(abs(p), 1.0)) >= _LOG_DOUBLE_MAX:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import MomentOverflowError, MomentVector
+from .moments import MomentOverflowError, MomentVector, _fsum
 from .qmeasure import QParam
 
 _BRENTQ_XTOL = 2e-12
@@ -189,17 +189,9 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     return brentq(defect, lo, hi, xtol=1e-15 * one_minus_q)
 
 
-def _fsum_or_inf(terms) -> float:
-    # fsum raises once a sum of finite terms leaves the double range
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
-
-
 def _series_by_recursion(qp: QParam, n_max: int) -> list[float]:
     # coefficient recursion for h = z (1 + h) exp(rho^2 (1 + h)); every
-    # term is positive, so a coefficient past the double range is inf
+    # term is positive, so a coefficient past the double range is inf or nan
     rho2 = qp.log_inv**2
     lead = _exp_capped(rho2)
     h = [0.0] * (n_max + 1)
@@ -207,13 +199,13 @@ def _series_by_recursion(qp: QParam, n_max: int) -> list[float]:
     for n in range(1, n_max + 1):
         h[n] = lead * (
             exp_part[n - 1]
-            + _fsum_or_inf(h[i] * exp_part[n - 1 - i] for i in range(1, n))
+            + _fsum(h[i] * exp_part[n - 1 - i] for i in range(1, n))
         )
-        if math.isinf(h[n]):
+        if not math.isfinite(h[n]):
             raise MomentOverflowError(
                 f"limiting moment h_{n} at q = {qp.q} exceeds the floating-point range"
             )
-        exp_part[n] = rho2 / n * _fsum_or_inf(
+        exp_part[n] = rho2 / n * _fsum(
             j * h[j] * exp_part[n - j] for j in range(1, n + 1)
         )
     return h[1:]

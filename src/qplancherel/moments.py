@@ -141,7 +141,7 @@ def p_moments(w: InterlacingDiagram, qp: QParam, n_max: int) -> MomentVector:
 
 def _fsum(terms) -> float:
     # math.fsum raises where finite terms sum past the double range and
-    # where inf meets -inf; both come back as nan for _finite to report
+    # where inf meets -inf; both come back as nan for a finiteness check
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
@@ -266,12 +266,14 @@ def markov_krein_residual(
 
         sum_i w_i / [x - s_i]_q = exp( sum tau_j ln 1/[x - t_j]_q ).
 
-    The points must lie above the support.
+    The points must lie above the support, or ValueError is raised.
     """
     tau = rayleigh_measure(w)
     worst = 0.0
     for x in points:
         atom_sum = r_measure(mu, qp, x)
+        if not x > w.support_max:
+            raise ValueError(f"x = {x} is not above the support (support_max = {w.support_max})")
         log_form = math.exp(
             -math.fsum(
                 v * math.log(qp.bracket(x - s))

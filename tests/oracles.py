@@ -4,14 +4,16 @@ Each is an independent route to a quantity the package computes, or an
 identity the paper rests on: exact partial-fraction weights, the Young
 lattice's covering relations, the exact harmonic function, tableau
 enumeration and its major index, an exact sampler of the q-Plancherel
-measure (RSK of geometric words), and the self-similar form of the limit
-R-function.
+measure (RSK of geometric words), the moment flow's polynomials by a
+recursion on the prefixes of the initial vector, and the self-similar
+form of the limit R-function.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -196,6 +198,43 @@ def geometric_word_shape(n: int, q: float, rng: np.random.Generator) -> Partitio
         perm = np.empty(n, dtype=np.int64)
         perm[np.argsort(rng.geometric(1.0 - q, n), kind="stable")] = np.arange(1, n + 1)
     return rsk_shape(tuple(perm.tolist()))[0].shape
+
+
+def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@cache
+def reduced_flow(y0: tuple[float, ...]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact (P_n, H_n), n = len(y0), of the moment flow from y0, ascending in sigma.
+
+    P_n' = n sum_{k<n} P_k H_{n-k} with P_n(0) = y0_n, and the Newton
+    recursion n H_n = P_n + sum_{k<n} P_k H_{n-k}.  P_k and H_k depend
+    on y0_1..y0_k only, so the recursion runs on the prefixes of y0.
+    """
+    n = len(y0)
+    slope = [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        product = _poly_mul(reduced_flow(y0[:k])[0], reduced_flow(y0[: n - k])[1])
+        for i, c in enumerate(product):
+            slope[i] += n * c
+    p = (Fraction(y0[-1]),) + tuple(c / (i + 1) for i, c in enumerate(slope))
+    h = tuple((p[i] + slope[i] / n) / n for i in range(n - 1)) + (p[-1] / n,)
+    return p, h
+
+
+def prefix_flow_coefficients(y0: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float coefficients of P_n and of n P_n + P_n', n = len(y0), from :func:`reduced_flow`."""
+    n = len(y0)
+    p = reduced_flow(y0)[0]
+    slope = [n * c for c in p]
+    for i in range(1, n):
+        slope[i - 1] += i * p[i]
+    return tuple(float(c) for c in p), tuple(float(c) for c in slope)
 
 
 def _r_scaled(u: float, rho: float) -> float:

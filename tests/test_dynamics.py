@@ -1,8 +1,11 @@
 """Moment flow: right-hand side, exact flow, RK4, closed forms, structure."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from oracles import prefix_flow_coefficients
 from rk4 import integrate_rk4, polynomial_structure_residual
 
 from qplancherel import dynamics
@@ -90,10 +93,10 @@ class TestIntegrator:
         exact = dynamics._flow_coefficients
 
         def corrupted(y0):
-            p_coeffs, slope_coeffs = exact(y0)
-            if len(y0) == 3:
-                p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
-            return p_coeffs, slope_coeffs
+            table = exact(y0)
+            p_coeffs, slope_coeffs = table[2]
+            p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
+            return table[:2] + ((p_coeffs, slope_coeffs),) + table[3:]
 
         monkeypatch.setattr(dynamics, "_flow_coefficients", corrupted)
         with pytest.raises(IntegrationAccuracyError):
@@ -289,8 +292,9 @@ class TestExactFlow:
 
     def test_reduced_polynomials_match_closed_forms(self):
         sigma = 0.7
+        table = dynamics._flow_coefficients((1.0,) * 4)
         for n in range(1, 5):
-            p_coeffs, _ = dynamics._flow_coefficients((1.0,) * n)
+            p_coeffs, _ = table[n - 1]
             value = sum(c * sigma**i for i, c in enumerate(p_coeffs))
             assert value * math.exp(n * sigma) == pytest.approx(
                 closed_form(n, sigma, (1.0,) * 4), rel=1e-14
@@ -311,10 +315,10 @@ class TestExactFlow:
         exact = dynamics._flow_coefficients
 
         def corrupted(y0):
-            p_coeffs, slope_coeffs = exact(y0)
-            if len(y0) == 3:
-                p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
-            return p_coeffs, slope_coeffs
+            table = exact(y0)
+            p_coeffs, slope_coeffs = table[2]
+            p_coeffs = (p_coeffs[0], p_coeffs[1] * (1 + 1e-6)) + p_coeffs[2:]
+            return table[:2] + ((p_coeffs, slope_coeffs),) + table[3:]
 
         monkeypatch.setattr(dynamics, "_flow_coefficients", corrupted)
         with pytest.raises(IntegrationAccuracyError):
@@ -339,12 +343,42 @@ class TestExactFlow:
         def unbuilt(y0):
             raise AssertionError("built a flow polynomial above the cap")
 
-        monkeypatch.setattr(dynamics, "_reduced_flow", unbuilt)
         monkeypatch.setattr(dynamics, "_flow_coefficients", unbuilt)
         with pytest.raises(CapacityError, match="order 41"):
             limit_moments(QParam(1.0), 41)
         with pytest.raises(CapacityError, match="order 41"):
             integrate_moments((1.0,) * 41, 0.0)
+
+
+class TestFlowTable:
+    """The Lagrange-Buermann coefficient table against closed forms and the prefix recursion."""
+
+    def test_all_ones_is_laguerre(self):
+        # P_n(sigma) = L_{n-1}(-n sigma): coefficient j is C(n-1, j) n^j / j!,
+        # and of n P_n + P_n' it is C(n, j+1) n^(j+1) / j!
+        table = dynamics._flow_coefficients((1.0,) * 40)
+        assert len(table) == 40
+        for n, (p_coeffs, slope_coeffs) in enumerate(table, start=1):
+            assert p_coeffs == tuple(
+                float(Fraction(math.comb(n - 1, j) * n**j, math.factorial(j)))
+                for j in range(n)
+            )
+            assert slope_coeffs == tuple(
+                float(Fraction(math.comb(n, j + 1) * n ** (j + 1), math.factorial(j)))
+                for j in range(n)
+            )
+
+    def test_matches_prefix_recursion(self):
+        rng = random.Random(2024)
+        starts = [(1.0,) * 24] + [
+            tuple(rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 14)))
+            for _ in range(30)
+        ]
+        for y0 in starts:
+            table = dynamics._flow_coefficients(y0)
+            assert len(table) == len(y0)
+            for n in range(1, len(y0) + 1):
+                assert table[n - 1] == prefix_flow_coefficients(y0[:n]), (y0, n)
 
 
 class TestDynamicEquivalence:

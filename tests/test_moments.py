@@ -194,6 +194,16 @@ def test_r_function_overflow_is_typed(evaluate, q, match):
         evaluate(QParam(q))
 
 
+@pytest.mark.parametrize("q,x", [(1e-3, -60.0), (1.0, -5.0), (0.5, 0.5)])
+def test_markov_krein_residual_refuses_points_off_the_support(q, x):
+    # below the support and inside it the log of a bracket is undefined
+    with pytest.raises(ValueError, match=rf"x = {x} is not above the support \(support_max = 1\)"):
+        markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, QParam(q), [x])
+    # at a pole the atom sum refuses first
+    with pytest.raises(PoleProximityError):
+        markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, QParam(q), [1.0])
+
+
 def test_r_diagram_pole_guard():
     w = to_interlacing(Partition((1,)))
     with pytest.raises(PoleProximityError):
