@@ -140,9 +140,13 @@ def deformed_r(
 ) -> float:
     """R-function of the deformed diagram w_t at ``x`` above the support.
 
-    Written through cosh(sqrt(mu_k t) ln(1/q)) this expression is
-    analytic in t, so negative t evaluates its continuation; that is
+    Written through cosh(s), s = sqrt(mu_k t) ln(1/q), this expression
+    is analytic in t, so negative t evaluates its continuation; that is
     what the central finite differences of :func:`pde_residual` use.
+    Each corner's factor (1 - q^d)^2 / (1 + q^(2d) - 2 q^d cosh(s)) is
+    evaluated as g / (g - 4 q^d sinh^2(s/2)) with g = (1 - q^d)^2 from
+    expm1, or g + 4 q^d sin^2(s/2) for t < 0, so it does not cancel as
+    q -> 1.
     """
     weights = _checked_weights(w, weights)
     value = r_diagram(w, qp, x)
@@ -156,13 +160,13 @@ def deformed_r(
         for k, xk in enumerate(w.minima):
             d = x - xk
             qd = math.exp(-d * rho)
+            g = math.expm1(-d * rho) ** 2  # (1 - q^d)^2
             arg = weights[k] * t
             if arg >= 0:
-                hump = math.cosh(math.sqrt(arg) * rho)
+                spread = -4.0 * qd * math.sinh(0.5 * math.sqrt(arg) * rho) ** 2
             else:
-                hump = math.cos(math.sqrt(-arg) * rho)
-            pair = 1.0 + qd * qd - 2.0 * qd * hump
-            value *= (1.0 - qd) ** 2 / pair
+                spread = 4.0 * qd * math.sin(0.5 * math.sqrt(-arg) * rho) ** 2
+            value *= g / (g + spread)
     except OverflowError:
         raise MomentOverflowError(
             f"a corner factor at x = {x}, t = {t}, q = {qp.q} "

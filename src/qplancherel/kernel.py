@@ -27,15 +27,19 @@ identity
 
 whose right-hand side vanishes at each maximum y_j and whose x -> oo
 limit gives sum_k mu_k = 1.  :func:`partial_fraction_weights` solves
-these m + 1 equations exactly, in rational arithmetic: an oracle
-independent of the product formula.
+these m + 1 equations exactly: an oracle independent of the product
+formula.  With q = a / b exactly as its double has it, each entry is a
+coprime integer pair, the elimination runs on such pairs in
+cross-cancelled rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), which
+keeps every value in lowest terms, and each weight is rounded once, by
+Python's correctly rounded int true division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first seeded generator
@@ -60,19 +64,75 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     q in (0, 1] or any real corners; the power underflows to 0 only
     where mu_k itself is below the double range.
     """
-    x = np.array(w.minima, dtype=float)
-    y = np.array(w.maxima, dtype=float)
-    m = len(x)
-    # |x_k - x_i| with the diagonal dropped from each row, so column j
-    # holds x_j for j < k and x_{j+1} for j >= k
-    to_x = np.abs(x[:, None] - x).reshape(-1)[1:]
-    to_x = to_x.reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
-    ratios = qp.bracket(np.abs(x[:, None] - y)) / qp.bracket(to_x)
+    m = len(w.minima)
+    xy = np.array(w.minima + w.maxima, dtype=float)
+    x, y = xy[:m], xy[m:]
+    # one bracket call on the contiguous m x (2m - 1) matrix |x_k - [x | y]|.
+    # Each ufunc keeps its input's memory layout: numpy may run SIMD code
+    # for contiguous float64 expm1 and power, whose last bits differ from
+    # the strided (libm) path, and tests pin these weights' bits
+    brackets = qp.bracket(np.abs(x[:, None] - xy))
+    to_y, to_x = _factor_index(m)
+    ratios = brackets.take(to_y) / brackets.take(to_x)
     # E_k: the gaps x_{j+1} - y_j summed over j >= k, and E_m = 0
     gaps = np.zeros(m)
     gaps[:-1] = x[1:] - y
+    # q**folded runs on the reversed (strided) view, for that reason
     folded = np.cumsum(gaps[::-1])[::-1]
     return tuple((qp.q**folded * ratios.prod(axis=1)).tolist())
+
+
+# a chain's corner count moves by at most one per box, so a few recent m
+# cover it; the arrays hold 2 m (m - 1) indices
+@functools.lru_cache(maxsize=32)
+def _factor_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # flat positions in the m x (2m - 1) matrix |x_k - [x | y]| of factor
+    # j of mu_k: y_j in column m + j, and x_j (j < k) or x_{j+1} (j >= k)
+    k, j = np.indices((m, m - 1))
+    row = k * (2 * m - 1)
+    to_y, to_x = row + m + j, row + j + (j >= k)
+    # every caller shares the cached arrays
+    to_y.flags.writeable = to_x.flags.writeable = False
+    return to_y, to_x
+
+
+def _mul(a, b):
+    # a * b of two reduced pairs (numerator, positive denominator), each
+    # numerator cross-cancelled against the other denominator so that the
+    # product is reduced without a gcd of the product (Knuth, TAOCP 4.5.1)
+    an, ad = a
+    bn, bd = b
+    g = math.gcd(an, bd)
+    if g > 1:
+        an //= g
+        bd //= g
+    g = math.gcd(bn, ad)
+    if g > 1:
+        bn //= g
+        ad //= g
+    return an * bn, ad * bd
+
+
+def _sub(a, b):
+    # a - b of two reduced pairs, reduced: with g = gcd(ad, bd) only the
+    # numerator's gcd with g can remain (Knuth, TAOCP 4.5.1)
+    an, ad = a
+    bn, bd = b
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd - ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) - bn * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
+
+
+def _inverse(a):
+    # 1 / a of a reduced nonzero pair, the sign moved to the numerator
+    n, d = a
+    return (d, n) if n > 0 else (-d, -n)
 
 
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
@@ -80,44 +140,62 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
 
     Independent of the product formula: at each maximum y_j the identity's
     right-hand side vanishes, so sum_k mu_k / [y_j - x_k]_q = 0 for the m
-    maxima, and sum_k mu_k = 1 fixes the scale.  The m x (m + 1) system
-    is eliminated in rational arithmetic, its kernel vector normalized
-    and each weight rounded once.  Requires integer corner coordinates,
-    as a partition's profile has; any other diagram raises ValueError.
+    maxima, and sum_k mu_k = 1 fixes the scale.  With q = a / b exactly
+    (b a power of two, a odd), each entry 1 / (1 - q^d), which is
+    1 / [d]_q up to the common factor 1 - q, is the coprime integer pair
+    b^d / (b^d - a^d) for d > 0 and -a^k / (b^k - a^k) for d = -k < 0,
+    and 1 / d at q = 1.  The m x (m + 1) system is eliminated on such
+    pairs in cross-cancelled rational arithmetic, so every intermediate
+    value stays in lowest terms; its kernel vector is normalized and each
+    weight rounded once, by int true division, which is correctly
+    rounded.  Requires integer corner coordinates, as a partition's
+    profile has; any other diagram raises ValueError.
     """
     if any(v != int(v) for v in w.minima + w.maxima):
         raise ValueError("the exact solve needs integer corner coordinates")
     minima = [int(v) for v in w.minima]
     maxima = [int(v) for v in w.maxima]
-    # q is lifted to the Fraction equal to its binary value; the common
-    # factor (1 - q) of 1 / [d]_q drops out, and d = y_j - x_k is a
-    # nonzero integer of either sign
-    qf = Fraction(qp.q)
-    entries = {
-        d: Fraction(1, d) if qp.is_classical else 1 / (1 - qf**d)
-        for d in {y - x for y in maxima for x in minima}
-    }
+    # d = y_j - x_k is a nonzero integer of either sign
+    a, b = qp.q.as_integer_ratio()
+
+    def entry(d: int) -> tuple[int, int]:
+        if qp.is_classical:
+            return (1, d) if d > 0 else (-1, -d)
+        if d > 0:
+            power = b**d
+            return power, power - a**d
+        power = a**-d
+        return -power, b**-d - power
+
+    entries = {d: entry(d) for d in {y - x for y in maxima for x in minima}}
     m = len(maxima)
     rows = [[entries[y - x] for x in minima] for y in maxima]
     for col in range(m):
-        pivot = next((i for i in range(col, m) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(col, m) if rows[i][col][0]), None)
         if pivot is None:
             raise SingularSystemError("exact partial-fraction system is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(col + 1, m):
-            factor = rows[i][col] / rows[col][col]
-            if factor:
-                for j in range(col, m + 1):
-                    rows[i][j] -= factor * rows[col][j]
+        top = rows[col]
+        inverse = _inverse(top[col])
+        for row in rows[col + 1 :]:
+            factor = _mul(row[col], inverse)
+            # column col of the rows below is never read again
+            if factor[0]:
+                for j in range(col + 1, m + 1):
+                    row[j] = _sub(row[j], _mul(factor, top[j]))
     # the kernel vector with mu_{m+1} = 1, then normalized to sum 1
-    solution = [Fraction(0)] * m + [Fraction(1)]
+    solution = [(0, 1)] * m + [(1, 1)]
     for i in range(m - 1, -1, -1):
-        acc = -rows[i][m]
+        row = rows[i]
+        acc = (-row[m][0], row[m][1])
         for j in range(i + 1, m):
-            acc -= rows[i][j] * solution[j]
-        solution[i] = acc / rows[i][i]
-    total = sum(solution)
-    return tuple(float(v / total) for v in solution)
+            acc = _sub(acc, _mul(row[j], solution[j]))
+        solution[i] = _mul(acc, _inverse(row[i]))
+    total = (0, 1)
+    for n, d in solution:
+        total = _sub(total, (-n, d))
+    tn, td = total
+    return tuple((n * td) / (d * tn) for n, d in solution)
 
 
 def sample_index(weights, u: float) -> int:

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,24 @@ class TestVerifyCommand:
         data = lines[lines.index("suite,max_error,tolerance,passed") + 1 :]
         assert len(data) >= 7
         assert all(row.endswith(",true") for row in data)
+
+    def test_runs_as_module(self):
+        # python -m qplancherel is the same command line as the console script
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(root / "src"), env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "qplancherel", "verify", "--format", "json"],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["passed"] is True
 
     def test_tampered_tolerance_fails_naming_suite(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(checks.CHECKS, "markov_krein", (checks.markov_krein, 1e-30))

@@ -131,12 +131,26 @@ class TestDeformedR:
             r_diagram(out, qp, 5.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("t", [1e-3, -1e-3])
+    def test_tends_to_classical_as_q_tends_to_one(self, t):
+        # 1 + q^(2d) - 2 q^d cosh(s) cancels as q -> 1 (15% off at
+        # 1 - 1e-8, division by zero from 1 - 1e-10); the expm1 and
+        # sinh^2(s/2) form keeps the O(1 - q) approach to the q = 1 value
+        w = to_interlacing(Partition((3, 1)))
+        weights = kernel.transition_weights(w, QParam(1.0))
+        x = w.support_max + 2.0
+        classical = deformed_r(w, weights, t, QParam(1.0), x)
+        for k in range(4, 16):
+            q = 1.0 - 10.0**-k
+            gap = deformed_r(w, weights, t, QParam(q), x) / classical - 1.0
+            assert abs(gap) <= 10.0 * (1.0 - q) + 1e-13, q
+
     @pytest.mark.parametrize(
         "t,x,match",
         [
             (0.01, -200.0, r"\[-199.0\]_q at q = 0.001"),  # the R-function's bracket
             (0.01, -60.0, "x = -60.0, t = 0.01"),  # (1 - q^d)^2
-            (1e6, 10.0, "x = 10.0, t = 1000000.0"),  # cosh of the hump
+            (1e6, 10.0, "x = 10.0, t = 1000000.0"),  # sinh of the hump
         ],
         ids=["bracket", "square", "cosh"],
     )
@@ -207,6 +221,11 @@ class TestPdeResidual:
             w = to_interlacing(lam)
             x = w.minima[-1] + 2.5
             assert pde_residual(w, qp, x, dt=1e-5, dx=1e-5) < 1e-5
+
+    def test_next_to_the_classical_case(self):
+        w = to_interlacing(Partition((3, 1)))
+        residual = pde_residual(w, QParam(1 - 1e-12), w.support_max + 2.0)
+        assert math.isfinite(residual) and residual < 1e-5
 
     def test_second_order_convergence(self):
         # halving both steps divides the defect by about 4

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter, defaultdict
 
@@ -107,6 +108,19 @@ def test_oracle_matches_above_support_solve(q):
         assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
 
 
+# 60-box shapes with 9 and 8 minima: the elimination's rationals reach
+# heights of 5,000 to 14,000 bits, where the cross-cancelling arithmetic
+# takes its gcd branches
+@pytest.mark.parametrize("q", [1e-8, 0.3])
+@pytest.mark.parametrize(
+    "parts", [(11, 10, 9, 8, 7, 6, 5, 4), (20, 15, 10, 8, 4, 2, 1)], ids=str
+)
+def test_oracle_matches_above_support_solve_at_60_boxes(parts, q):
+    qp = QParam(q)
+    w = to_interlacing(Partition(parts))
+    assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
+
+
 def _ulps(a: float, b: float) -> float:
     # |a - b| in units in the last place of the exact-rounded b
     return abs(a - b) / math.ulp(b)
@@ -144,6 +158,31 @@ def test_real_corner_weights(q):
         points = [w.support_max + 1.5 + j for j in range(4)]
         residual = markov_krein_residual(w, transition_measure(w, qp), qp, points)
         assert residual <= tolerance
+
+
+# the bits of every product-formula weight, as first recorded: integer
+# shapes and their deformed (real-corner) diagrams over the whole q range;
+# a change that moves one bit of one weight fails here, which the oracle
+# comparisons above, to 1e-12 or 64 ulp, do not see
+FROZEN_WEIGHTS_DIGEST = "9322f4f24a165fa203f5968b35ea92d1ca86f859ceb67559d7d8fb51054fe9e5"
+
+
+def test_weights_are_frozen():
+    shapes = [Partition(()), Partition((40,)), Partition((50, 40, 3, 1, 1))]
+    shapes += random_partitions(60, 30, seed=22)
+    bases = [to_interlacing(lam) for lam in shapes]
+    # deformed by the classical weights, which never underflow
+    diagrams = bases + [
+        deform(w, transition_weights(w, QParam(1.0)), 0.01) for w in bases
+    ]
+    text = repr(
+        [
+            transition_weights(w, QParam(q))
+            for q in (1e-8, 0.1, 0.5, 0.95, 1 - 1e-12, 1.0)
+            for w in diagrams
+        ]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_WEIGHTS_DIGEST
 
 
 def test_classical_continuity():
