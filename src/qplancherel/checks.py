@@ -111,7 +111,7 @@ def limit_moments() -> float:
     )
 
 
-def pde_residual(cases=None, dt: float = 1e-6) -> float:
+def pde_residual(cases=None, dt: float = 1e-5) -> float:
     """Worst growth-equation defect over (q, shapes), two boxes above the support."""
     if cases is None:
         shapes = random_partitions(15, 15, seed=77)
@@ -130,5 +130,5 @@ CHECKS = {
     "markov_krein": (markov_krein, 1e-10),
     "ode_closed_forms": (ode_closed_forms, 1e-7),
     "limit_moments": (limit_moments, 1e-6),
-    "pde_residual": (pde_residual, 1e-5),
+    "pde_residual": (pde_residual, 1e-9),
 }

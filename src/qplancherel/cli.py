@@ -18,7 +18,6 @@ range).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -259,17 +258,11 @@ def run_simulate(config: RunConfig) -> int:
 
 def run_limit_shape(config: RunConfig) -> int:
     qp = QParam(config.q)
-    # the moments overflow first as q -> 0; past that, the first
-    # admissible integer x lies near ln(1/q) + 2
+    # the moments overflow first as q -> 0; the R table starts at the edge
     p_limit = dynamics.limit_moments(qp, config.moments)
     h_limit = limitshape.series_h_omega(qp, config.moments)
 
-    for x_lo in itertools.count(1):
-        try:
-            limitshape.solve_r_omega(float(x_lo), qp)
-        except limitshape.BracketingError:
-            continue
-        break
+    x_lo = max(1, math.ceil(limitshape.support_edges(qp)[1]))
     xs = [float(x_lo + j) for j in range(25)]
     r_table = [{"x": x, "r": limitshape.solve_r_omega(x, qp)} for x in xs]
     moment_table = [

@@ -7,7 +7,9 @@ R-function R(x; q) solves the implicit equation
 
 on the branch with R -> 1 - q as x -> +infinity.  In the classical
 limit q -> 1 the equation degenerates to R (x - R) = 1 with solution
-(x - sqrt(x^2 - 4)) / 2.  Writing z = q^x, the normalized expansion
+(x - sqrt(x^2 - 4)) / 2.  The support of the limit shape ends at the
+double roots of the equation, in closed form in :func:`support_edges`.
+Writing z = q^x, the normalized expansion
 
     R(x; q) / (1 - q) = 1 + sum_{n >= 1} h_n z^n
 
@@ -132,20 +134,39 @@ def classical_r(x: float) -> float:
     return 2.0 / (x + math.sqrt(x * x - 4.0))
 
 
+def _edge_t(rho: float) -> float:  # t_+, the root > 0 of t^2 - rho t - 1
+    return (rho + math.sqrt(rho * rho + 4.0)) / 2.0
+
+
+def support_edges(qp: QParam) -> tuple[float, float]:
+    """The support edges (u_-, u_+): the double roots F = F_w = 0 of
+    F(w) = w (1 - q^u e^(alpha w)) - (1 - q), alpha = rho^2 / (1 - q).
+
+    With alpha w = rho t these read t^2 - rho t - 1 = 0, so t_- = -1/t_+,
+    and u = t + ln(1 + rho t) / rho (2 t at rho = 0, so -2 and 2 at
+    q = 1), free of cancellation for every q; R = t / c at the edge.
+    """
+    rho = qp.log_inv
+    t_plus = _edge_t(rho)
+
+    def edge(t: float) -> float:
+        return t + (math.log1p(rho * t) / rho if rho else t)
+
+    return edge(-1.0 / t_plus), edge(t_plus)
+
+
 def solve_r_omega(x: float, qp: QParam) -> float:
     """Root of R (1 - q^(x - c R)) = (1 - q) on the physical branch.
 
     The defect g(r) = r (1 - q^(x - c r)) - (1 - q) is concave with
-    g(0) < 0, so its first root is the physical one.  The left end
-    (1 - q)/2 always lies below that root.  If g is still rising at
-    3 (1 - q) and already positive there, as everywhere far above the
-    support, [(1 - q)/2, 3 (1 - q)] brackets the root at once.
-    Otherwise the stationary point of g (the hump, beyond which the
-    second, unphysical branch begins) is solved for first, and the
-    right end starts at 3 (1 - q) and doubles, clipped at the hump.
-    Both solves use :func:`brentq`.  Raises BracketingError (reporting
-    the attempted bracket) when x is below the admissible range, and
-    ValueError when x is NaN.
+    g(0) < 0, so its first root is the physical one, and (1 - q)/2 lies
+    below it.  The bracket's right end is 3 (1 - q) if g is positive
+    there, as far above the support, and otherwise t_+/c, R's value at
+    the right edge u_+ (:func:`support_edges`): g(t_+/c) rises with x
+    and vanishes at u_+, and above the edge the root lies below t_+/c,
+    itself below the hump of g.  One :func:`brentq` solve per root.
+    Raises BracketingError (reporting the attempted bracket) when x is
+    not above u_+, and ValueError when x is NaN.
     """
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
@@ -154,38 +175,22 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     q = qp.q
     rho = qp.log_inv
     one_minus_q = 1.0 - q
-    z = _exp_capped(-x * rho)
-    if z >= 1.0:
-        raise BracketingError(f"need q^x < 1, got x = {x} at q = {q}")
     alpha = rho * rho / one_minus_q
     log_z = -x * rho
 
     def defect(r: float) -> float:
         return r * (1.0 - _exp_capped(log_z + alpha * r)) - one_minus_q
 
-    # g' = 0 where z e^(alpha r)(1 + alpha r) = 1; increasing in r, and
-    # taking logs keeps the marker finite for any r.
-    def slope_marker(r: float) -> float:
-        return log_z + alpha * r + math.log1p(alpha * r)
-
     lo = one_minus_q / 2.0
     hi = 3.0 * one_minus_q
-    if slope_marker(hi) > 0.0 or defect(hi) <= 0.0:
-        hi_marker = one_minus_q
-        while slope_marker(hi_marker) <= 0.0:
-            hi_marker *= 2.0
-        r_hump = brentq(slope_marker, 0.0, hi_marker)
-        if defect(r_hump) <= 0.0:
+    if defect(hi) <= 0.0:
+        hi = _edge_t(rho) / qp.c
+        if defect(hi) <= 0.0:
             raise BracketingError(
-                f"no root for x = {x} at q = {q}; defect stays negative "
-                f"on the bracket [{min(lo, r_hump)}, {max(lo, r_hump)}], "
-                f"up to its maximum at r = {r_hump}"
+                f"no root for x = {x} at q = {q}, not above the edge "
+                f"u_+ = {support_edges(qp)[1]}; the defect is not positive "
+                f"on the bracket [{lo}, {hi}]"
             )
-        hi = min(hi, r_hump)
-        while defect(hi) <= 0.0:
-            hi = min(2.0 * hi, r_hump)
-            if hi == r_hump:
-                break
     return brentq(defect, lo, hi, xtol=1e-15 * one_minus_q)
 
 

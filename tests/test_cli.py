@@ -267,6 +267,20 @@ class TestVerifyCommand:
         rows = [row.split(",") for row in captured.out.splitlines()]
         assert [row[0] for row in rows if row[-1] == "false"] == [suite]
 
+    def test_time_scaled_growth_fails_pde_suite(self, monkeypatch, capsys):
+        # R run at time t (1 + 1e-7) leaves a defect near 2e-8, below 1e-5
+        # but far above the suite's tolerance: the check sees the equation,
+        # not the rounding of its difference step
+        def scaled(w, weights, t, qp, x, route=growth.deformed_r):
+            return route(w, weights, t * (1.0 + 1e-7), qp, x)
+
+        monkeypatch.setattr(growth, "deformed_r", scaled)
+        assert main(["verify"]) == EXIT_CHECK_FAILED
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows if row[-1] == "false"] == ["pde_residual"]
+        worst = next(float(row[1]) for row in rows if row[0] == "pde_residual")
+        assert checks.CHECKS["pde_residual"][1] < worst < 1e-5
+
     def test_nan_route_fails_its_suite(self, monkeypatch, capsys):
         # max() keeps its running value against a NaN; the check must not
         nan_route = lambda w, qp: [math.nan] * len(w.minima)  # noqa: E731
@@ -405,6 +419,16 @@ class TestLimitShapeCommand:
                 1.0 - qp.q ** (row["x"] - c * row["r"])
             ) - (1.0 - qp.q)
             assert abs(residual) < 1e-9
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95, 1.0])
+    def test_table_starts_at_the_edge(self, capsys, q):
+        assert main(["limit-shape", "--q", str(q), "--format", "json"]) == EXIT_OK
+        qp = QParam(q)
+        x_lo = json.loads(capsys.readouterr().out)["r_table"][0]["x"]
+        assert x_lo == max(1, math.ceil(limitshape.support_edges(qp)[1]))
+        if x_lo - 1 >= 1:
+            with pytest.raises(limitshape.BracketingError):
+                limitshape.solve_r_omega(x_lo - 1.0, qp)
 
     def test_moment_table_ties_the_two_routes(self, capsys):
         assert main(["limit-shape", "--q", "0.7", "--format", "json"]) == EXIT_OK

@@ -15,6 +15,7 @@ from qplancherel.limitshape import (
     classical_r,
     series_h_omega,
     solve_r_omega,
+    support_edges,
 )
 from qplancherel.moments import MomentOverflowError, p_to_h
 from qplancherel.qmeasure import QParam
@@ -86,8 +87,7 @@ class TestSolveROmega:
         assert all(v > 1.0 - q for v in values)
         assert solve_r_omega(200.0, qp) == pytest.approx(1.0 - q, rel=1e-9)
 
-    # at q = 1e-12 and x = 5 the hump of the defect lies below the
-    # bracket's left end (1 - q)/2
+    # at q = 1e-12 the right edge u_+ lies near 27.9, far above x = 5
     @pytest.mark.parametrize(
         "q, x",
         [pytest.param(q, 1.0, id=str(q)) for q in (0.2, 0.5, 0.8)]
@@ -108,6 +108,59 @@ class TestSolveROmega:
             assert e1 / e2 == pytest.approx(2.0, abs=0.05)
             extrapolated = 2.0 * e2 - e1
             assert abs(extrapolated) < 10.0 * abs(e1) * 1e-3
+
+
+def _edge_t(qp, sign):
+    # the roots t_+ > 0 > t_- = -1/t_+ of t^2 - rho t - 1 = 0
+    rho = qp.log_inv
+    t_plus = (rho + math.sqrt(rho * rho + 4.0)) / 2.0
+    return t_plus if sign > 0 else -1.0 / t_plus
+
+
+class TestSupportEdges:
+    @pytest.mark.parametrize("q", [1e-8, 0.01, 0.3, 0.5, 0.9, 0.999])
+    def test_edges_are_double_roots(self, q):
+        # F(w) = w (1 - q^u e^(alpha w)) - (1 - q) and F_w both vanish
+        # at (u_-, t_-/c) and (u_+, t_+/c)
+        qp = QParam(q)
+        alpha = qp.log_inv**2 / (1.0 - q)
+        for sign, u in zip((-1, 1), support_edges(qp)):
+            w = _edge_t(qp, sign) / qp.c
+            power = math.exp(alpha * w - qp.log_inv * u)  # q^u e^(alpha w)
+            f = -w * math.expm1(alpha * w - qp.log_inv * u) - (1.0 - q)
+            f_w = 1.0 - power * (1.0 + alpha * w)
+            assert abs(f) <= 1e-12 * (1.0 - q)
+            assert abs(f_w) <= 1e-12
+
+    def test_classical_edges_are_exact(self):
+        assert support_edges(QParam(1.0)) == (-2.0, 2.0)
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_near_classical_edges_approach_two(self, k):
+        q = 1.0 - 10.0**-k
+        lower, upper = support_edges(QParam(q))
+        assert abs(lower + 2.0) <= 1.0 - q
+        assert abs(upper - 2.0) <= 1.0 - q
+
+    def test_half(self):
+        lower, upper = support_edges(QParam(0.5))
+        assert lower == pytest.approx(-1.692772, abs=1e-6)
+        assert upper == pytest.approx(2.385919, abs=1e-6)
+
+    def test_extreme_parameter(self):
+        # no cancellation at q = 1e-300, where rho is about 690.8
+        lower, upper = support_edges(QParam(1e-300))
+        assert upper == pytest.approx(690.8, abs=0.05)
+        assert -1.0 < lower < 0.0
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9])
+    def test_roots_exist_exactly_above_the_edge(self, q):
+        qp = QParam(q)
+        edge = support_edges(qp)[1]
+        with pytest.raises(BracketingError, match="bracket"):
+            solve_r_omega(edge * (1.0 - 1e-9), qp)
+        r = solve_r_omega(edge * (1.0 + 1e-9), qp)
+        assert 1.0 - q < r <= _edge_t(qp, 1) / qp.c
 
 
 class TestSeriesHOmega:
@@ -247,7 +300,7 @@ class TestBrentq:
                     solve_r_omega(x, qp)
                 except BracketingError:
                     pass
-        assert {name for name, _, _ in seen} == {"defect", "slope_marker"}
+        assert {name for name, _, _ in seen} == {"defect"}
         assert all(ours == ref for _, ours, ref in seen)
 
     def test_generic_brackets_match_reference(self):
