@@ -49,8 +49,9 @@ and then L is summed afresh from the corners.  Every 512 steps L is
 also summed afresh and the normalized weights of both are compared: a
 difference beyond rtol 1e-8 raises RuntimeError, otherwise the fresh
 sums replace the incremental ones.  :func:`kernel.grow_trajectory` is
-the slow reference chain; it consumes the same variates and visits the
-same shapes.
+the reference chain: one trial at a time, every step's weights from the
+product formula, bit for bit those of ``kernel.transition_weights``.  It
+consumes the same variates and visits the same shapes.
 """
 
 from __future__ import annotations

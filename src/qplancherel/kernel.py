@@ -33,6 +33,13 @@ coprime integer pair, the elimination runs on such pairs in
 cross-cancelled rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), which
 keeps every value in lowest terms, and each weight is rounded once, by
 Python's correctly rounded int true division.
+
+:func:`grow_trajectory` is the reference chain that the fast corner walk
+of :mod:`growth` is checked against.  It draws its uniforms in one block,
+keeps the corners and their rows between steps, updating them by the
+walk's stencil, and reads its brackets from one table per chain; the
+product formula itself runs on the code path of
+:func:`transition_weights`, so the chain's weights keep every bit.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first seeded generator
 
-from .diagrams import InterlacingDiagram, Partition, to_interlacing
+from .diagrams import InterlacingDiagram, Partition
 from .qmeasure import QParam
 
 
@@ -66,20 +73,30 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     """
     m = len(w.minima)
     xy = np.array(w.minima + w.maxima, dtype=float)
-    x, y = xy[:m], xy[m:]
     # one bracket call on the contiguous m x (2m - 1) matrix |x_k - [x | y]|.
     # Each ufunc keeps its input's memory layout: numpy may run SIMD code
     # for contiguous float64 expm1 and power, whose last bits differ from
     # the strided (libm) path, and tests pin these weights' bits
-    brackets = qp.bracket(np.abs(x[:, None] - xy))
+    return _product_weights(qp.bracket(np.abs(xy[:m, None] - xy)), xy, qp.q)
+
+
+def _product_weights(
+    brackets: np.ndarray, xy: np.ndarray, q: float
+) -> tuple[float, ...]:
+    # the product formula from the m x (2m - 1) bracket matrix
+    # |x_k - [x | y]| and the corners xy = [x | y], as ints or floats: the
+    # gaps below are exact either way.  The one code path of
+    # transition_weights and of the reference chain
+    m = len(brackets)
     to_y, to_x = _factor_index(m)
     ratios = brackets.take(to_y) / brackets.take(to_x)
     # E_k: the gaps x_{j+1} - y_j summed over j >= k, and E_m = 0
     gaps = np.zeros(m)
-    gaps[:-1] = x[1:] - y
-    # q**folded runs on the reversed (strided) view, for that reason
-    folded = np.cumsum(gaps[::-1])[::-1]
-    return tuple((qp.q**folded * ratios.prod(axis=1)).tolist())
+    gaps[:-1] = xy[1:m] - xy[m:]
+    # q**folded runs on the reversed (strided) view: on a contiguous copy
+    # numpy may take its SIMD power, whose last bits differ
+    folded = gaps[::-1].cumsum()[::-1]
+    return tuple((q**folded * ratios.prod(axis=1)).tolist())
 
 
 # a chain's corner count moves by at most one per box, so a few recent m
@@ -244,17 +261,50 @@ def grow_trajectory(
     """Sample one trajectory of ``n_boxes`` steps from the empty diagram.
 
     One uniform variate is consumed per step (also on the forced first
-    step), so trajectories of different lengths share their prefix
-    stream for a given (seed, stream).
+    step), drawn in one block: PCG64 gives the same doubles to one
+    ``random(n)`` call as to n scalar calls, so trajectories of different
+    lengths share their prefix stream for a given (seed, stream).
+
+    The corners are kept between steps: growing at the minimum c in row
+    r makes c a maximum; c - 1 becomes a minimum in row r + 1 unless it
+    was a maximum, which then goes, and c + 1 a minimum in row r on the
+    same rule.  Each step looks its brackets up in one table of [|d|]_q,
+    indexed by the integer matrix d = x_k - [x | y]: a shape of
+    t < n_boxes boxes has no corner distance above
+    lambda_1 + l(lambda) <= t + 1.  The table is bracketed as one
+    contiguous float array, as the matrix of :func:`transition_weights`
+    is, so numpy takes the same expm1 path on both, and the weights, and
+    so the shapes, are bit for bit those of
+    ``transition_weights(to_interlacing(state), qp)``.
     """
     if n_boxes < 0:
         raise ValueError(f"n_boxes must be nonnegative, got {n_boxes}")
-    rng = trajectory_rng(seed, stream)
-    current = Partition(())
-    states = [current]
-    for _ in range(n_boxes):
-        weights = transition_weights(to_interlacing(current), qp)
-        k = sample_index(weights, rng.random())
-        current = current.add_box(k)
-        states.append(current)
+    uniforms = trajectory_rng(seed, stream).random(n_boxes).tolist()
+    # table[d] = [|d|]_q for d in -n_boxes..n_boxes, the negative d by
+    # Python's indexing from the end
+    table = qp.bracket(
+        np.concatenate([np.arange(n_boxes + 1.0), np.arange(n_boxes, 0.0, -1.0)])
+    )
+    parts: list[int] = []
+    # minima and maxima ascending, and the 1-based row of each minimum
+    minima, maxima, rows = [0], [], [1]
+    states = [Partition(())]
+    for u in uniforms:
+        m = len(minima)
+        xy = np.array(minima + maxima)
+        brackets = table[xy[:m, None] - xy]
+        k = sample_index(_product_weights(brackets, xy, qp.q), u)
+        c, r = minima[k], rows[k]
+        # c turns into a maximum; each neighbour c -/+ 1 becomes a minimum,
+        # in row r + 1 / r, unless it was a maximum, which goes
+        left = k == 0 or maxima[k - 1] != c - 1
+        right = k == m - 1 or maxima[k] != c + 1
+        minima[k : k + 1] = [c - 1] * left + [c + 1] * right
+        rows[k : k + 1] = [r + 1] * left + [r] * right
+        maxima[k - (not left) : k + (not right)] = [c]
+        if r > len(parts):
+            parts.append(1)
+        else:
+            parts[r - 1] += 1
+        states.append(Partition(tuple(parts)))
     return GrowthTrajectory(tuple(states))

@@ -179,7 +179,10 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     log_z = -x * rho
 
     def defect(r: float) -> float:
-        return r * (1.0 - _exp_capped(log_z + alpha * r)) - one_minus_q
+        # 1 - q^(x - c r) through expm1, without the cancellation of
+        # 1 - exp near q = 1; -inf where the power leaves the double range
+        t = log_z + alpha * r
+        return r * (-math.inf if t > 709.0 else -math.expm1(t)) - one_minus_q
 
     lo = one_minus_q / 2.0
     hi = 3.0 * one_minus_q

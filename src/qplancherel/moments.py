@@ -266,14 +266,17 @@ def markov_krein_residual(
 
         sum_i w_i / [x - s_i]_q = exp( sum tau_j ln 1/[x - t_j]_q ).
 
-    The points must lie above the support, or ValueError is raised.
+    Each point must lie above the support, or ValueError is raised
+    before any R-function is evaluated there.
     """
     tau = rayleigh_measure(w)
     worst = 0.0
     for x in points:
-        atom_sum = r_measure(mu, qp, x)
+        # before the atom sum, which below the support can meet a pole or
+        # overflow; NaN is not above it either
         if not x > w.support_max:
             raise ValueError(f"x = {x} is not above the support (support_max = {w.support_max})")
+        atom_sum = r_measure(mu, qp, x)
         log_form = math.exp(
             -math.fsum(
                 v * math.log(qp.bracket(x - s))

@@ -23,6 +23,7 @@ from qplancherel import (
     transition_measure,
     transition_weights,
 )
+from qplancherel import kernel
 from qplancherel.checks import CHECKS
 
 from conftest import partitions, random_partitions
@@ -216,6 +217,57 @@ def test_trajectory_determinism():
     assert a.final.size == 25
     assert a.states[0] == Partition(())
     assert a.states[1] == Partition((1,))
+
+
+# the parts of every state of these chains, as first recorded with one
+# scalar uniform and one to_interlacing per step: (boxes, q, seed,
+# stream), down to q = 1e-8 and at the rescaled q^(1/sqrt(n)) of n = 400
+FROZEN_TRAJECTORY_RUNS = [
+    (60, 0.5, 1, 0),
+    (60, 1.0, 2, 0),
+    (80, 1e-8, 3, 1),
+    (80, 0.05, 4, 2),
+    (120, 0.95, 5, 0),
+    (400, 0.5 ** (1 / 20), 6, 0),
+]
+FROZEN_TRAJECTORY_DIGEST = "b6f46ac1ff28ba9e5f898db6491124d505ed6a004e961a67d75d7f617792d1c9"
+
+
+def test_trajectories_are_frozen():
+    text = repr(
+        [
+            [state.parts for state in grow_trajectory(n, QParam(q), seed, stream).states]
+            for n, q, seed, stream in FROZEN_TRAJECTORY_RUNS
+        ]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_TRAJECTORY_DIGEST
+
+
+@pytest.mark.parametrize("q", [1e-8, 0.05, 0.5 ** (1 / 20), 0.95, 1.0])
+def test_trajectory_weights_are_the_product_formula(q, monkeypatch):
+    # the chain keeps its corners between steps and reads a bracket table;
+    # each step's weights must still be to_interlacing's and
+    # transition_weights' to the last bit
+    seen = []
+
+    def recording(weights, u):
+        seen.append(weights)
+        return sample_index(weights, u)
+
+    monkeypatch.setattr(kernel, "sample_index", recording)
+    qp = QParam(q)
+    trajectory = grow_trajectory(300, qp, seed=8, stream=1)
+    assert len(seen) == 300
+    for state, weights in zip(trajectory.states, seen):
+        assert weights == transition_weights(to_interlacing(state), qp)
+
+
+def test_trajectory_lengths():
+    qp = QParam(0.5)
+    assert grow_trajectory(0, qp, seed=1).states == (Partition(()),)
+    assert grow_trajectory(1, qp, seed=1).states == (Partition(()), Partition((1,)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        grow_trajectory(-1, qp, seed=1)
 
 
 def test_trajectory_rng_streams():

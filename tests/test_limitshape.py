@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal, localcontext
 
 import pytest
 from scipy.optimize import brentq as reference_brentq
@@ -65,6 +66,23 @@ class TestSolveROmega:
         c = qp.log_inv / (1.0 - q)
         residual = r * (1.0 - q ** (x - c * r)) - (1.0 - q)
         assert abs(residual) < 1e-12
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_defect_near_classical_is_rounding(self, k):
+        # R (1 - q^(x - c R)) - (1 - q) at the root, in 50 digits from the
+        # double q: a rounding of 1 - q, where 1 - exp(...) lost a digit
+        # per decade of 1 - q
+        q = 1.0 - 10.0**-k
+        for x in (3.0, 10.0):
+            r = Decimal(solve_r_omega(x, QParam(q)))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                exact_q = Decimal(q)
+                log_q = exact_q.ln()
+                c = -log_q / (1 - exact_q)
+                power = ((Decimal(x) - c * r) * log_q).exp()
+                defect = r * (1 - power) - (1 - exact_q)
+                assert abs(defect) <= Decimal(1e-14) * (1 - exact_q)
 
     def test_classical_parameter_dispatches(self):
         assert solve_r_omega(2.5, QParam(1.0)) == pytest.approx(0.5)

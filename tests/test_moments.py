@@ -175,9 +175,11 @@ _BRACKET = r"\[-199.0\]_q at q = 0.001"
         (lambda qp: r_diagram(_ONE_BOX, qp, -200.0), 1e-3, _BRACKET),
         (lambda qp: r_measure(_ONE_BOX_MU, qp, -200.0), 1e-3, _BRACKET),
         (
-            lambda qp: markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, qp, [-200.0]),
-            1e-3,
-            _BRACKET,
+            lambda qp: markov_krein_residual(
+                _ONE_BOX, DiscreteMeasure((0.0, 1.0), (1.7e308,) * 2), qp, [2.0]
+            ),
+            1.0,
+            "atom sum at x = 2.0",
         ),
         (
             lambda qp: r_measure(DiscreteMeasure((0.0, 1.0), (1.7e308,) * 2), qp, 2.0),
@@ -189,19 +191,29 @@ _BRACKET = r"\[-199.0\]_q at q = 0.001"
 )
 def test_r_function_overflow_is_typed(evaluate, q, match):
     # far below the support at small q, q^(x - s) leaves the double range;
-    # at q = 1, two finite atom terms sum past it
+    # at q = 1, two finite atom terms sum past it, also above the support
     with pytest.raises(MomentOverflowError, match=match):
         evaluate(QParam(q))
 
 
-@pytest.mark.parametrize("q,x", [(1e-3, -60.0), (1.0, -5.0), (0.5, 0.5)])
+@pytest.mark.parametrize(
+    "q,x",
+    [
+        (1e-3, -60.0),
+        (1.0, -5.0),
+        (0.5, 0.5),
+        # at the pole x = support_max, where the atom sum would raise
+        # PoleProximityError; far below, where it would overflow; NaN
+        (0.5, 1.0),
+        (1e-3, -800.0),
+        (0.5, math.nan),
+    ],
+)
 def test_markov_krein_residual_refuses_points_off_the_support(q, x):
-    # below the support and inside it the log of a bracket is undefined
+    # below the support and inside it the log of a bracket is undefined;
+    # the support is checked before the atom sum is taken
     with pytest.raises(ValueError, match=rf"x = {x} is not above the support \(support_max = 1\)"):
         markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, QParam(q), [x])
-    # at a pole the atom sum refuses first
-    with pytest.raises(PoleProximityError):
-        markov_krein_residual(_ONE_BOX, _ONE_BOX_MU, QParam(q), [1.0])
 
 
 def test_r_diagram_pole_guard():
