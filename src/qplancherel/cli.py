@@ -10,6 +10,11 @@ config file, so a saved CSV header reproduces its run byte for byte.
 Each command builds its JSON payload and its CSV rows and hands both to
 ``_emit``, the one writer of both formats.
 
+The argument parser is built on the first ``main`` call and reused by
+every later call in the process; ``parse_args`` leaves it unchanged and
+writes help and errors to ``sys.stdout`` and ``sys.stderr`` as they are
+at call time.
+
 Exit codes: 0 success, 1 a verification suite failed, 2 configuration
 error, 3 capacity exceeded (including moments beyond the floating-point
 range).
@@ -18,6 +23,7 @@ range).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -303,6 +309,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qplancherel",

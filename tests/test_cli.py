@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, headers, formats."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -181,6 +182,45 @@ class TestExitCodes:
         code = main(["pushforward", "--n", "3", "--out", "/nonexistent/d/f.csv"])
         assert code == EXIT_CONFIG
         assert "cannot write" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        assert main(["limit-shape", "--moments", "2"]) == EXIT_OK
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        assert main(["limit-shape", "--moments", "3"]) == EXIT_OK
+        assert main(["pushforward", "--n", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert built == []
+
+    def test_errors_and_help_leave_the_parser_unchanged(self, capsys):
+        argv = ["limit-shape", "--q", "0.3", "--moments", "4"]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        errors = []
+        for _ in range(2):
+            assert main(["simulate", "--n", "x"]) == EXIT_CONFIG
+            assert main(["bogus"]) == EXIT_CONFIG
+            assert main([]) == EXIT_CONFIG
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1]
+        assert "invalid int value: 'x'" in errors[0].err
+        assert "invalid choice: 'bogus'" in errors[0].err
+        helps = []
+        for _ in range(2):
+            assert main(["simulate", "--help"]) == EXIT_OK
+            helps.append(capsys.readouterr())
+        assert helps[0] == helps[1]
+        assert helps[0].out.startswith("usage: qplancherel simulate")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
 
 
 class TestVerifyCommand:

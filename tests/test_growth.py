@@ -222,6 +222,16 @@ class TestPdeResidual:
             x = w.minima[-1] + 2.5
             assert pde_residual(w, qp, x, dt=1e-5, dx=1e-5) < 1e-5
 
+    def test_default_step_balances_rounding_and_truncation(self):
+        # verify's cases: at dt = 1e-6 the worst defect is ~1.7e-10, rounding
+        shapes = random_partitions(15, 15, seed=77)
+        worst = max(
+            pde_residual(w, QParam(q), w.support_max + 2.0)
+            for q in (0.5, 0.8)
+            for w in map(to_interlacing, shapes)
+        )
+        assert worst <= 3e-11
+
     def test_next_to_the_classical_case(self):
         w = to_interlacing(Partition((3, 1)))
         residual = pde_residual(w, QParam(1 - 1e-12), w.support_max + 2.0)
