@@ -29,7 +29,6 @@ from .growth import (
     McReport,
     TrajectorySample,
     deform,
-    deformed_r,
     growth_derivative,
     mc_limit_experiment,
     pde_residual,
@@ -102,7 +101,6 @@ __all__ = [
     "classical_r",
     "closed_form",
     "deform",
-    "deformed_r",
     "descent_set",
     "enumerate_level",
     "from_interlacing",

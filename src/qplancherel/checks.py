@@ -111,13 +111,13 @@ def limit_moments() -> float:
     )
 
 
-def pde_residual(cases=None, dt: float = 1e-5) -> float:
+def pde_residual(cases=None) -> float:
     """Worst growth-equation defect over (q, shapes), two boxes above the support."""
     if cases is None:
         shapes = random_partitions(15, 15, seed=77)
         cases = ((0.5, shapes), (0.8, shapes))
     return _worst(
-        growth.pde_residual(w, QParam(q), w.support_max + 2.0, dt=dt)
+        growth.pde_residual(w, QParam(q), w.support_max + 2.0)
         for q, shapes in cases
         for w in map(to_interlacing, shapes)
     )

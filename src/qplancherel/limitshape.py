@@ -165,8 +165,10 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     the right edge u_+ (:func:`support_edges`): g(t_+/c) rises with x
     and vanishes at u_+, and above the edge the root lies below t_+/c,
     itself below the hump of g.  One :func:`brentq` solve per root.
+    Where g(t_+/c) rounds to zero or below although x >= u_+, the root
+    is the edge's double root to rounding, and t_+/c is returned.
     Raises BracketingError (reporting the attempted bracket) when x is
-    not above u_+, and ValueError when x is NaN.
+    below u_+, and ValueError when x is NaN.
     """
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
@@ -189,10 +191,13 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     if defect(hi) <= 0.0:
         hi = _edge_t(rho) / qp.c
         if defect(hi) <= 0.0:
+            u_plus = support_edges(qp)[1]
+            if x >= u_plus:  # the double root, rounded onto the edge
+                return hi
             raise BracketingError(
-                f"no root for x = {x} at q = {q}, not above the edge "
-                f"u_+ = {support_edges(qp)[1]}; the defect is not positive "
-                f"on the bracket [{lo}, {hi}]"
+                f"no root for x = {x} at q = {q}, below the edge "
+                f"u_+ = {u_plus}; the defect is not positive on the "
+                f"bracket [{lo}, {hi}]"
             )
     return brentq(defect, lo, hi, xtol=1e-15 * one_minus_q)
 

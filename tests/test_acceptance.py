@@ -154,12 +154,12 @@ def test_criterion_7_growth_pde(finish):
         (q, random_partitions(25, max_boxes=15, seed=seed))
         for q, seed in ((0.5, 7), (0.8, 8))
     ]
-    worst, tol, _ = run_check("pde_residual", cases=cases, dt=1e-5)
+    worst, tol, _ = run_check("pde_residual", cases=cases)
     qp = QParam(0.5)
     w = to_interlacing(random_partitions(1, max_boxes=10, seed=3)[0])
     x = w.support_max + 2.0
-    coarse = pde_residual(w, qp, x, dt=2e-3, dx=2e-3)
-    fine = pde_residual(w, qp, x, dt=1e-3, dx=1e-3)
+    coarse = pde_residual(w, qp, x, dx=2e-3)
+    fine = pde_residual(w, qp, x, dx=1e-3)
     order = math.log2(coarse / fine)
     ok = worst < tol and 1.7 <= order <= 2.3
     finish(

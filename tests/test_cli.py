@@ -282,7 +282,7 @@ class TestVerifyCommand:
             ("markov_krein", moments, "r_measure"),
             ("ode_closed_forms", dynamics, "closed_form"),
             ("limit_moments", limitshape, "series_h_omega"),
-            ("pde_residual", growth, "deformed_r"),
+            ("pde_residual", growth, "growth_derivative"),
         ],
     )
     def test_corrupted_route_fails_its_suite(
@@ -308,13 +308,13 @@ class TestVerifyCommand:
         assert [row[0] for row in rows if row[-1] == "false"] == [suite]
 
     def test_time_scaled_growth_fails_pde_suite(self, monkeypatch, capsys):
-        # R run at time t (1 + 1e-7) leaves a defect near 2e-8, below 1e-5
+        # dR/dt scaled by 1 + 1e-7 leaves a defect near 2e-8, below 1e-5
         # but far above the suite's tolerance: the check sees the equation,
         # not the rounding of its difference step
-        def scaled(w, weights, t, qp, x, route=growth.deformed_r):
-            return route(w, weights, t * (1.0 + 1e-7), qp, x)
+        def scaled(*args, route=growth.growth_derivative, **kwargs):
+            return route(*args, **kwargs) * (1.0 + 1e-7)
 
-        monkeypatch.setattr(growth, "deformed_r", scaled)
+        monkeypatch.setattr(growth, "growth_derivative", scaled)
         assert main(["verify"]) == EXIT_CHECK_FAILED
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
         assert [row[0] for row in rows if row[-1] == "false"] == ["pde_residual"]
@@ -460,7 +460,22 @@ class TestLimitShapeCommand:
             ) - (1.0 - qp.q)
             assert abs(residual) < 1e-9
 
-    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95, 1.0])
+    # the last four put u_+ just below an integer x, or onto it, where the
+    # defect at t_+/c rounds to zero or below
+    @pytest.mark.parametrize(
+        "q",
+        [
+            0.01,
+            0.3,
+            0.5,
+            0.95,
+            1.0,
+            0.9999999999999999,
+            1 - 1e-15,
+            0.200917532502524,
+            0.005721813273251841,
+        ],
+    )
     def test_table_starts_at_the_edge(self, capsys, q):
         assert main(["limit-shape", "--q", str(q), "--format", "json"]) == EXIT_OK
         qp = QParam(q)

@@ -23,7 +23,6 @@ from qplancherel.growth import (
     McReport,
     _LockstepWalk,
     deform,
-    deformed_r,
     growth_derivative,
     mc_limit_experiment,
     pde_residual,
@@ -94,70 +93,11 @@ class TestDeform:
             deform(w, (0.5, 0.5), 0.0)
 
 
-class TestDeformedR:
-    def test_matches_deformed_diagram(self):
-        # the closed form and the R-function of the actual deformed
-        # diagram are the same function
-        qp = QParam(0.6)
-        w = to_interlacing(Partition((2, 1)))
-        weights = kernel.transition_weights(w, qp)
-        t = 0.01
-        out = deform(w, weights, t)
-        for x in (3.0, 4.5, 7.0):
-            assert deformed_r(w, weights, t, qp, x) == pytest.approx(
-                r_diagram(out, qp, x), rel=1e-12
-            )
-
-    def test_continuity_at_zero_time(self):
-        qp = QParam(0.5)
-        w = to_interlacing(Partition((2,)))
-        weights = kernel.transition_weights(w, qp)
-        base = r_diagram(w, qp, 4.0)
-        for t in (1e-4, 1e-7):
-            drift = deformed_r(w, weights, t, qp, 4.0) - base
-            assert abs(drift) < 10.0 * t
-        # the analytic continuation to negative time is just as close
-        assert deformed_r(w, weights, -1e-7, qp, 4.0) == pytest.approx(
-            base, rel=1e-6
-        )
-
-    def test_classical_parameter(self):
-        w = to_interlacing(Partition((1,)))
-        qp = QParam(1.0)
-        weights = kernel.transition_weights(w, qp)
-        t = 0.01
-        out = deform(w, weights, t)
-        assert deformed_r(w, weights, t, qp, 5.0) == pytest.approx(
-            r_diagram(out, qp, 5.0), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("t", [1e-3, -1e-3])
-    def test_tends_to_classical_as_q_tends_to_one(self, t):
-        # 1 + q^(2d) - 2 q^d cosh(s) cancels as q -> 1 (15% off at
-        # 1 - 1e-8, division by zero from 1 - 1e-10); the expm1 and
-        # sinh^2(s/2) form keeps the O(1 - q) approach to the q = 1 value
-        w = to_interlacing(Partition((3, 1)))
-        weights = kernel.transition_weights(w, QParam(1.0))
-        x = w.support_max + 2.0
-        classical = deformed_r(w, weights, t, QParam(1.0), x)
-        for k in range(4, 16):
-            q = 1.0 - 10.0**-k
-            gap = deformed_r(w, weights, t, QParam(q), x) / classical - 1.0
-            assert abs(gap) <= 10.0 * (1.0 - q) + 1e-13, q
-
-    @pytest.mark.parametrize(
-        "t,x,match",
-        [
-            (0.01, -200.0, r"\[-199.0\]_q at q = 0.001"),  # the R-function's bracket
-            (0.01, -60.0, "x = -60.0, t = 0.01"),  # (1 - q^d)^2
-            (1e6, 10.0, "x = 10.0, t = 1000000.0"),  # sinh of the hump
-        ],
-        ids=["bracket", "square", "cosh"],
-    )
-    def test_overflow_is_typed(self, t, x, match):
-        w = to_interlacing(Partition((1,)))
-        with pytest.raises(MomentOverflowError, match=match):
-            deformed_r(w, (0.5, 0.5), t, QParam(1e-3), x)
+def _forward_difference(w, weights, qp, x, t=1e-4):
+    # d/dt at t = 0 of R(w_t) by the forward 3-point difference; w_t is
+    # a diagram only for t > 0
+    r_t, r_2t = (r_diagram(deform(w, weights, s), qp, x) for s in (t, 2.0 * t))
+    return (4.0 * r_t - r_2t - 3.0 * r_diagram(w, qp, x)) / (2.0 * t)
 
 
 class TestGrowthDerivative:
@@ -168,13 +108,8 @@ class TestGrowthDerivative:
         qp = QParam(0.5)
         w = to_interlacing(Partition(parts))
         weights = kernel.transition_weights(w, qp)
-        t = 1e-6
-        fd = (
-            deformed_r(w, weights, t, qp, x)
-            - deformed_r(w, weights, -t, qp, x)
-        ) / (2.0 * t)
         assert growth_derivative(w, qp, x, weights) == pytest.approx(
-            fd, rel=1e-6
+            _forward_difference(w, weights, qp, x), rel=1e-6
         )
 
     def test_vanishes_far_away(self):
@@ -185,12 +120,21 @@ class TestGrowthDerivative:
         qp = QParam(1.0)
         w = to_interlacing(Partition((1,)))
         weights = kernel.transition_weights(w, qp)
-        t = 1e-7
-        fd = (
-            deformed_r(w, weights, t, qp, 4.0)
-            - deformed_r(w, weights, -t, qp, 4.0)
-        ) / (2.0 * t)
-        assert growth_derivative(w, qp, 4.0) == pytest.approx(fd, rel=1e-6)
+        assert growth_derivative(w, qp, 4.0) == pytest.approx(
+            _forward_difference(w, weights, qp, 4.0), rel=1e-6
+        )
+
+    def test_tends_to_classical_as_q_tends_to_one(self):
+        # q^d / [d]_q^2 and c^2 keep the O(1 - q) approach to the q = 1
+        # value (a gap of about 2 (1 - q)) down to q = 1 - 1e-15
+        w = to_interlacing(Partition((3, 1)))
+        weights = kernel.transition_weights(w, QParam(1.0))
+        x = w.support_max + 2.0
+        classical = growth_derivative(w, QParam(1.0), x, weights)
+        for k in range(4, 16):
+            q = 1.0 - 10.0**-k
+            gap = growth_derivative(w, QParam(q), x, weights) / classical - 1.0
+            assert abs(gap) <= 10.0 * (1.0 - q) + 1e-13, q
 
     @pytest.mark.parametrize("x", [-200.0, -60.0])
     def test_overflow_is_typed(self, x):
@@ -209,7 +153,7 @@ class TestGrowthDerivative:
 class TestPdeResidual:
     def test_single_box_example(self):
         w = to_interlacing(Partition((1,)))
-        assert pde_residual(w, QParam(0.5), 6.0, dt=1e-5, dx=1e-5) < 1e-5
+        assert pde_residual(w, QParam(0.5), 6.0, dx=1e-5) < 1e-5
 
     def test_empty_far_field(self):
         w = to_interlacing(Partition(()))
@@ -220,10 +164,12 @@ class TestPdeResidual:
         for lam in random_partitions(20, max_boxes=12, seed=5):
             w = to_interlacing(lam)
             x = w.minima[-1] + 2.5
-            assert pde_residual(w, qp, x, dt=1e-5, dx=1e-5) < 1e-5
+            assert pde_residual(w, qp, x, dx=1e-5) < 1e-5
 
     def test_default_step_balances_rounding_and_truncation(self):
-        # verify's cases: at dt = 1e-6 the worst defect is ~1.7e-10, rounding
+        # verify's cases: ~1.3e-11 at dx = 1e-5, against ~2.1e-10 at 1e-6
+        # (the rounding of the R difference) and ~5.2e-10 at 1e-4 (the
+        # O(dx^2) truncation)
         shapes = random_partitions(15, 15, seed=77)
         worst = max(
             pde_residual(w, QParam(q), w.support_max + 2.0)
@@ -238,12 +184,12 @@ class TestPdeResidual:
         assert math.isfinite(residual) and residual < 1e-5
 
     def test_second_order_convergence(self):
-        # halving both steps divides the defect by about 4
+        # halving dx divides the defect by about 4
         qp = QParam(0.5)
         w = to_interlacing(Partition((2, 1)))
         x = 4.5
-        coarse = pde_residual(w, qp, x, dt=2e-3, dx=2e-3)
-        fine = pde_residual(w, qp, x, dt=1e-3, dx=1e-3)
+        coarse = pde_residual(w, qp, x, dx=2e-3)
+        fine = pde_residual(w, qp, x, dx=1e-3)
         order = math.log2(coarse / fine)
         assert 1.7 <= order <= 2.3
 
