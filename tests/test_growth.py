@@ -93,6 +93,33 @@ class TestDeform:
             deform(w, (0.5, 0.5), 0.0)
 
 
+class TestDeformedR:
+    @pytest.mark.parametrize("t", [1e-3])
+    def test_tends_to_classical_as_q_tends_to_one(self, t):
+        # R of the deformed diagram w_t keeps the O(1 - q) approach to its
+        # q = 1 value down to q = 1 - 1e-15 at non-integer corners
+        w = to_interlacing(Partition((3, 1)))
+        weights = kernel.transition_weights(w, QParam(1.0))
+        w_t = deform(w, weights, t)
+        x = w.support_max + 2.0
+        classical = r_diagram(w_t, QParam(1.0), x)
+        for k in range(4, 16):
+            q = 1.0 - 10.0**-k
+            gap = r_diagram(w_t, QParam(q), x) / classical - 1.0
+            assert abs(gap) <= 10.0 * (1.0 - q) + 1e-13, q
+
+    @pytest.mark.parametrize(
+        "t,x,match",
+        [(0.01, -200.0, r"\]_q at q = 0.001 exceeds")],  # the R-function's bracket
+        ids=["bracket"],
+    )
+    def test_overflow_is_typed(self, t, x, match):
+        w = to_interlacing(Partition((1,)))
+        w_t = deform(w, (0.5, 0.5), t)
+        with pytest.raises(MomentOverflowError, match=match):
+            r_diagram(w_t, QParam(1e-3), x)
+
+
 def _forward_difference(w, weights, qp, x, t=1e-4):
     # d/dt at t = 0 of R(w_t) by the forward 3-point difference; w_t is
     # a diagram only for t > 0
