@@ -28,11 +28,12 @@ identity
 whose right-hand side vanishes at each maximum y_j and whose x -> oo
 limit gives sum_k mu_k = 1.  :func:`partial_fraction_weights` solves
 these m + 1 equations exactly: an oracle independent of the product
-formula.  With q = a / b exactly as its double has it, each entry is a
-coprime integer pair, the elimination runs on such pairs in
-cross-cancelled rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), which
-keeps every value in lowest terms, and each weight is rounded once, by
-Python's correctly rounded int true division.
+formula.  With q = a / b exactly as its double has it, each entry is an
+integer pair.  The system is homogeneous, so each row is cleared to
+integers and divided by its content (the gcd of its entries), the
+elimination and the back substitution run on such primitive integer
+vectors, and each weight is rounded once, by Python's correctly rounded
+int true division.
 
 :func:`grow_trajectory` is the reference chain that the fast corner walk
 of :mod:`growth` is checked against.  It draws its uniforms in one block,
@@ -113,43 +114,11 @@ def _factor_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     return to_y, to_x
 
 
-def _mul(a, b):
-    # a * b of two reduced pairs (numerator, positive denominator), each
-    # numerator cross-cancelled against the other denominator so that the
-    # product is reduced without a gcd of the product (Knuth, TAOCP 4.5.1)
-    an, ad = a
-    bn, bd = b
-    g = math.gcd(an, bd)
-    if g > 1:
-        an //= g
-        bd //= g
-    g = math.gcd(bn, ad)
-    if g > 1:
-        bn //= g
-        ad //= g
-    return an * bn, ad * bd
-
-
-def _sub(a, b):
-    # a - b of two reduced pairs, reduced: with g = gcd(ad, bd) only the
-    # numerator's gcd with g can remain (Knuth, TAOCP 4.5.1)
-    an, ad = a
-    bn, bd = b
-    g = math.gcd(ad, bd)
-    if g == 1:
-        return an * bd - ad * bn, ad * bd
-    s = ad // g
-    t = an * (bd // g) - bn * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return t, s * bd
-    return t // g2, s * (bd // g2)
-
-
-def _inverse(a):
-    # 1 / a of a reduced nonzero pair, the sign moved to the numerator
-    n, d = a
-    return (d, n) if n > 0 else (-d, -n)
+def _primitive(row: list[int]) -> list[int]:
+    # the row divided by its content, the gcd of its entries; an all-zero
+    # row stays as it is
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
@@ -159,12 +128,14 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
     right-hand side vanishes, so sum_k mu_k / [y_j - x_k]_q = 0 for the m
     maxima, and sum_k mu_k = 1 fixes the scale.  With q = a / b exactly
     (b a power of two, a odd), each entry 1 / (1 - q^d), which is
-    1 / [d]_q up to the common factor 1 - q, is the coprime integer pair
+    1 / [d]_q up to the common factor 1 - q, is the integer pair
     b^d / (b^d - a^d) for d > 0 and -a^k / (b^k - a^k) for d = -k < 0,
-    and 1 / d at q = 1.  The m x (m + 1) system is eliminated on such
-    pairs in cross-cancelled rational arithmetic, so every intermediate
-    value stays in lowest terms; its kernel vector is normalized and each
-    weight rounded once, by int true division, which is correctly
+    and 1 / d at q = 1.  The m x (m + 1) system is homogeneous, so each
+    row is cleared to integers by the lcm of its denominators and divided
+    by its content; elimination by cross-multiplication and back
+    substitution from mu_{m+1} = 1 keep every row and the kernel vector
+    primitive integer vectors.  Each weight is its entry over the
+    vector's sum, rounded once by int true division, which is correctly
     rounded.  Requires integer corner coordinates, as a partition's
     profile has; any other diagram raises ValueError.
     """
@@ -186,33 +157,35 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
 
     entries = {d: entry(d) for d in {y - x for y in maxima for x in minima}}
     m = len(maxima)
-    rows = [[entries[y - x] for x in minima] for y in maxima]
+    rows = []
+    for y in maxima:
+        pairs = [entries[y - x] for x in minima]
+        lcm = math.lcm(*(d for _, d in pairs))
+        rows.append(_primitive([n * (lcm // d) for n, d in pairs]))
     for col in range(m):
-        pivot = next((i for i in range(col, m) if rows[i][col][0]), None)
+        pivot = next((i for i in range(col, m) if rows[i][col]), None)
         if pivot is None:
             raise SingularSystemError("exact partial-fraction system is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
-        inverse = _inverse(top[col])
-        for row in rows[col + 1 :]:
-            factor = _mul(row[col], inverse)
-            # column col of the rows below is never read again
-            if factor[0]:
-                for j in range(col + 1, m + 1):
-                    row[j] = _sub(row[j], _mul(factor, top[j]))
-    # the kernel vector with mu_{m+1} = 1, then normalized to sum 1
-    solution = [(0, 1)] * m + [(1, 1)]
+        for i in range(col + 1, m):
+            row = rows[i]
+            # s row - t top clears column col; t = 0 leaves the row as it is,
+            # up to sign
+            g = math.gcd(top[col], row[col])
+            s, t = top[col] // g, row[col] // g
+            rows[i] = _primitive([s * u - t * v for u, v in zip(row, top)])
+    # the kernel vector from mu_{m+1} = 1, kept integer: scaling the
+    # entries solved so far by the pivot makes mu_i = -sum_{j>i} row_j mu_j
+    nu = [0] * m + [1]
     for i in range(m - 1, -1, -1):
         row = rows[i]
-        acc = (-row[m][0], row[m][1])
-        for j in range(i + 1, m):
-            acc = _sub(acc, _mul(row[j], solution[j]))
-        solution[i] = _mul(acc, _inverse(row[i]))
-    total = (0, 1)
-    for n, d in solution:
-        total = _sub(total, (-n, d))
-    tn, td = total
-    return tuple((n * td) / (d * tn) for n, d in solution)
+        acc = -sum(u * v for u, v in zip(row[i + 1 :], nu[i + 1 :]))
+        nu = [row[i] * v for v in nu]
+        nu[i] = acc
+        nu = _primitive(nu)
+    total = sum(nu)
+    return tuple(v / total for v in nu)
 
 
 def sample_index(weights, u: float) -> int:

@@ -109,10 +109,10 @@ def test_oracle_matches_above_support_solve(q):
         assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
 
 
-# 60-box shapes with 9 and 8 minima: the elimination's rationals reach
-# heights of 5,000 to 14,000 bits, where the cross-cancelling arithmetic
-# takes its gcd branches
-@pytest.mark.parametrize("q", [1e-8, 0.3])
+# 60-box shapes with 9 and 8 minima: the primitive integer rows and the
+# kernel vector reach 5,500 to 14,400 bits at q < 1 (most at q = 1e-8),
+# and 28 to 35 bits from the (1, d) entries at q = 1
+@pytest.mark.parametrize("q", [1e-8, 0.3, 1 - 1e-12, 1.0])
 @pytest.mark.parametrize(
     "parts", [(11, 10, 9, 8, 7, 6, 5, 4), (20, 15, 10, 8, 4, 2, 1)], ids=str
 )
@@ -120,6 +120,21 @@ def test_oracle_matches_above_support_solve_at_60_boxes(parts, q):
     qp = QParam(q)
     w = to_interlacing(Partition(parts))
     assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
+
+
+# the oracle exists to be independent of the product formula: it must
+# still solve, to the same bits, with that formula's code path broken
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_oracle_never_calls_product_formula(monkeypatch, q):
+    def broken(*args):
+        raise AssertionError("the exact solve called the product formula")
+
+    monkeypatch.setattr(kernel, "_product_weights", broken)
+    monkeypatch.setattr(kernel, "transition_weights", broken)
+    qp = QParam(q)
+    for parts in [(), (1,), (2, 1), (4, 4, 2, 1), (11, 10, 9, 8, 7, 6, 5, 4)]:
+        w = to_interlacing(Partition(parts))
+        assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
 
 
 def _ulps(a: float, b: float) -> float:
