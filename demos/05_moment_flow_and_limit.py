@@ -14,7 +14,6 @@ import math
 
 from qplancherel import (
     QParam,
-    classical_r,
     closed_form,
     integrate_moments,
     limit_moments,
@@ -68,7 +67,8 @@ for n in range(1, 7):
 
 print()
 print("== the classical limit of the branch ==")
+classical = solve_r_omega(3.0, QParam(1.0))  # the same equation at q = 1
 for eps in (1e-2, 1e-3, 1e-4):
     value = solve_r_omega(3.0, QParam(1.0 - eps))
     print(f"  q = 1 - {eps:g}: r(3) = {value:.8f}  "
-          f"(classical {classical_r(3.0):.8f}, gap {value - classical_r(3.0):+.2e})")
+          f"(classical {classical:.8f}, gap {value - classical:+.2e})")

@@ -46,7 +46,6 @@ from .kernel import (
 )
 from .limitshape import (
     BracketingError,
-    classical_r,
     series_h_omega,
     solve_r_omega,
     support_edges,
@@ -98,7 +97,6 @@ __all__ = [
     "SingularSystemError",
     "StandardTableau",
     "TrajectorySample",
-    "classical_r",
     "closed_form",
     "deform",
     "descent_set",

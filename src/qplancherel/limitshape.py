@@ -5,9 +5,10 @@ R-function R(x; q) solves the implicit equation
 
     R * (1 - q^(x - c R)) = 1 - q,        c = ln(1/q) / (1 - q),
 
-on the branch with R -> 1 - q as x -> +infinity.  In the classical
-limit q -> 1 the equation degenerates to R (x - R) = 1 with solution
-(x - sqrt(x^2 - 4)) / 2.  The support of the limit shape ends at the
+on the branch with R -> 1 - q as x -> +infinity.  Divided by 1 - q it
+reads R [x - c R]_q = 1 in the q-bracket of :class:`QParam`, one
+equation for every q in (0, 1]: at q = 1, where c = 1, it is the
+classical R (x - R) = 1.  The support of the limit shape ends at the
 double roots of the equation, in closed form in :func:`support_edges`.
 Writing z = q^x, the normalized expansion
 
@@ -125,15 +126,6 @@ def _exp_capped(t: float) -> float:
     return math.inf if t > 709.0 else math.exp(t)
 
 
-def classical_r(x: float) -> float:
-    """(x - sqrt(x^2 - 4)) / 2 in cancellation-free form; needs x >= 2."""
-    if math.isnan(x):
-        raise ValueError("x must be a number, got nan")
-    if x < 2.0:
-        raise BracketingError(f"the classical branch needs x >= 2, got {x}")
-    return 2.0 / (x + math.sqrt(x * x - 4.0))
-
-
 def _edge_t(rho: float) -> float:  # t_+, the root > 0 of t^2 - rho t - 1
     return (rho + math.sqrt(rho * rho + 4.0)) / 2.0
 
@@ -156,50 +148,41 @@ def support_edges(qp: QParam) -> tuple[float, float]:
 
 
 def solve_r_omega(x: float, qp: QParam) -> float:
-    """Root of R (1 - q^(x - c R)) = (1 - q) on the physical branch.
+    """Root of R [x - c R]_q = 1 on the physical branch, for q in (0, 1].
 
-    The defect g(r) = r (1 - q^(x - c r)) - (1 - q) is concave with
-    g(0) < 0, so its first root is the physical one, and (1 - q)/2 lies
-    below it.  The bracket's right end is 3 (1 - q) if g is positive
-    there, as far above the support, and otherwise t_+/c, R's value at
-    the right edge u_+ (:func:`support_edges`): g(t_+/c) rises with x
-    and vanishes at u_+, and above the edge the root lies below t_+/c,
-    itself below the hump of g.  One :func:`brentq` solve per root.
-    Where g(t_+/c) rounds to zero or below although x >= u_+, the root
-    is the edge's double root to rounding, and t_+/c is returned.
-    Raises BracketingError (reporting the attempted bracket) when x is
-    below u_+, and ValueError when x is NaN.
+    The defect g(r) = r [x - c r]_q - 1 is concave in r > 0 with
+    g(0) = -1, so its first root is the physical one.  It lies above
+    1/[x]_q, and at or below t_+/c, R's value at the right edge u_+
+    (:func:`support_edges`), so x - c r stays positive on the bracket
+    and [x - c r]_q cannot overflow.  One :func:`brentq` solve per root.
+    Where g(t_+/c) rounds to zero or below, the root is the edge's
+    double root to rounding, and t_+/c is returned; at x = inf the
+    value is 1 - q.  Raises BracketingError (reporting the bracket on
+    which g is negative) when x is below u_+, and ValueError when x is
+    NaN.
     """
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
-    if qp.is_classical:
-        return classical_r(x)
-    q = qp.q
-    rho = qp.log_inv
-    one_minus_q = 1.0 - q
-    alpha = rho * rho / one_minus_q
-    log_z = -x * rho
+    if x == math.inf:  # the limit; at q = 1, lo = 1/[x]_q = 0 brackets nothing
+        return qp.one_minus_q
+    hi = _edge_t(qp.log_inv) / qp.c
+    u_plus = support_edges(qp)[1]
+    if x < u_plus:
+        raise BracketingError(
+            f"no root for x = {x} at q = {qp.q}, below the edge "
+            f"u_+ = {u_plus}; the defect is negative on the "
+            f"bracket [0.0, {hi}]"
+        )
+
+    bracket, c = qp.bracket, qp.c
 
     def defect(r: float) -> float:
-        # 1 - q^(x - c r) through expm1, without the cancellation of
-        # 1 - exp near q = 1; -inf where the power leaves the double range
-        t = log_z + alpha * r
-        return r * (-math.inf if t > 709.0 else -math.expm1(t)) - one_minus_q
+        return r * bracket(x - c * r) - 1.0
 
-    lo = one_minus_q / 2.0
-    hi = 3.0 * one_minus_q
-    if defect(hi) <= 0.0:
-        hi = _edge_t(rho) / qp.c
-        if defect(hi) <= 0.0:
-            u_plus = support_edges(qp)[1]
-            if x >= u_plus:  # the double root, rounded onto the edge
-                return hi
-            raise BracketingError(
-                f"no root for x = {x} at q = {q}, below the edge "
-                f"u_+ = {u_plus}; the defect is not positive on the "
-                f"bracket [{lo}, {hi}]"
-            )
-    return brentq(defect, lo, hi, xtol=1e-15 * one_minus_q)
+    if defect(hi) <= 0.0:  # the double root, rounded onto the edge
+        return hi
+    lo = 1.0 / bracket(x)
+    return brentq(defect, lo, hi, xtol=1e-15 * lo)
 
 
 def _series_by_recursion(qp: QParam, n_max: int) -> list[float]:

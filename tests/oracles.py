@@ -5,8 +5,9 @@ identity the paper rests on: exact partial-fraction weights, the Young
 lattice's covering relations, the exact harmonic function, tableau
 enumeration and its major index, an exact sampler of the q-Plancherel
 measure (RSK of geometric words), the moment flow's polynomials by a
-recursion on the prefixes of the initial vector, and the self-similar
-form of the limit R-function.
+recursion on the prefixes of the initial vector, the classical limit
+R-function in closed form, and the self-similar form of the limit
+R-function.
 """
 
 from __future__ import annotations
@@ -235,6 +236,17 @@ def prefix_flow_coefficients(y0: tuple[float, ...]) -> tuple[tuple[float, ...], 
     for i in range(1, n):
         slope[i - 1] += i * p[i]
     return tuple(float(c) for c in p), tuple(float(c) for c in slope)
+
+
+def classical_r(x: float) -> float:
+    """Kerov's R-function at q = 1: the small root of R (x - R) = 1, x >= 2.
+
+    (x - sqrt(x^2 - 4)) / 2 in cancellation-free form, 2 / (x +
+    sqrt(x - 2) sqrt(x + 2)), taken at x / 2 so that no intermediate
+    overflows up to the top of the double range; 0 at x = inf.
+    """
+    h = x / 2.0
+    return 1.0 / (h + math.sqrt(h - 1.0) * math.sqrt(h + 1.0))
 
 
 def _r_scaled(u: float, rho: float) -> float:

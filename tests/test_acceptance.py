@@ -16,11 +16,11 @@ import math
 import time
 
 import pytest
+from oracles import classical_r
 from rk4 import polynomial_structure_residual
 
 from qplancherel import (
     QParam,
-    classical_r,
     h_moments,
     mc_limit_experiment,
     p_moments,

@@ -13,7 +13,6 @@ from qplancherel.dynamics import limit_moments
 from qplancherel.limitshape import (
     BracketingError,
     brentq,
-    classical_r,
     series_h_omega,
     solve_r_omega,
     support_edges,
@@ -21,24 +20,40 @@ from qplancherel.limitshape import (
 from qplancherel.moments import MomentOverflowError, p_to_h
 from qplancherel.qmeasure import QParam
 
-from oracles import automodel_pde_residual, automodel_residual
+from oracles import automodel_pde_residual, automodel_residual, classical_r
+
+
+def _within_ulps(value: float, target: float, ulps: int) -> bool:
+    return abs(value - target) <= ulps * math.ulp(target)
 
 
 class TestClassicalR:
+    """q = 1 runs the one R solve; the closed form is the oracle."""
+
+    CLASSICAL = QParam(1.0)
+
     def test_known_root(self):
         # r (x - r) = 1 at x = 2.5 has roots 0.5 and 2; the decaying
         # branch is the small one
-        assert classical_r(2.5) == pytest.approx(0.5, rel=1e-15)
+        r = solve_r_omega(2.5, self.CLASSICAL)
+        assert r == pytest.approx(0.5, rel=1e-15)
+        assert _within_ulps(r, classical_r(2.5), 2)
 
     def test_edge_value(self):
-        assert classical_r(2.0) == pytest.approx(1.0, rel=1e-15)
+        assert solve_r_omega(2.0, self.CLASSICAL) == 1.0 == classical_r(2.0)
 
     def test_below_edge_raises(self):
-        with pytest.raises(BracketingError):
-            classical_r(1.9)
+        with pytest.raises(BracketingError, match="u_\\+ = 2.0"):
+            solve_r_omega(1.9, self.CLASSICAL)
 
     def test_decay_at_infinity(self):
-        assert classical_r(1e8) == pytest.approx(1e-8, rel=1e-6)
+        assert solve_r_omega(1e8, self.CLASSICAL) == pytest.approx(1e-8, rel=1e-6)
+        # the closed form to Brent's tolerance, 1e-15 R, out to 1e299,
+        # from x = 3: nearer the edge the double root makes R sensitive
+        # to the rounding of its defect
+        for x in (3.0 * 1.5**k for k in range(1700)):
+            r = solve_r_omega(x, self.CLASSICAL)
+            assert r == pytest.approx(classical_r(x), rel=1e-15), x
 
 
 class TestSolveROmega:
@@ -53,6 +68,12 @@ class TestSolveROmega:
         for q in (0.01, 0.5, 0.95):
             qp = QParam(q)
             assert [solve_r_omega(x, qp) for x in far] == [1.0 - q] * len(far)
+        # at q = 1 the root decays like 1/x, to 0 at infinity, without
+        # an overflow of x^2 on the way
+        classical = QParam(1.0)
+        for x in far[:-1]:
+            assert _within_ulps(solve_r_omega(x, classical), 1.0 / x, 2), x
+        assert solve_r_omega(math.inf, classical) == 0.0
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_nan_raises(self, q):
@@ -67,25 +88,31 @@ class TestSolveROmega:
         residual = r * (1.0 - q ** (x - c * r)) - (1.0 - q)
         assert abs(residual) < 1e-12
 
-    @pytest.mark.parametrize("k", range(3, 13))
-    def test_defect_near_classical_is_rounding(self, k):
+    @pytest.mark.parametrize(
+        "q",
+        [pytest.param(1.0 - 10.0**-k, id=str(k)) for k in range(3, 13)]
+        + [pytest.param(q, id=f"q={q:g}") for q in (1.0, 1e-300, 1e-8, 0.5)],
+    )
+    def test_defect_near_classical_is_rounding(self, q):
         # R (1 - q^(x - c R)) - (1 - q) at the root, in 50 digits from the
         # double q: a rounding of 1 - q, where 1 - exp(...) lost a digit
-        # per decade of 1 - q
-        q = 1.0 - 10.0**-k
-        for x in (3.0, 10.0):
-            r = Decimal(solve_r_omega(x, QParam(q)))
+        # per decade of 1 - q; at q = 1, R (x - R) - 1.  Two points at
+        # and above the support, 3 and 10 near q = 1
+        qp = QParam(q)
+        x_lo = max(3.0, math.ceil(support_edges(qp)[1]))
+        for x in (x_lo, x_lo + 7.0):
+            r = Decimal(solve_r_omega(x, qp))
             with localcontext() as ctx:
                 ctx.prec = 50
+                if q == 1.0:
+                    assert abs(r * (Decimal(x) - r) - 1) <= Decimal(1e-14)
+                    continue
                 exact_q = Decimal(q)
                 log_q = exact_q.ln()
                 c = -log_q / (1 - exact_q)
                 power = ((Decimal(x) - c * r) * log_q).exp()
                 defect = r * (1 - power) - (1 - exact_q)
                 assert abs(defect) <= Decimal(1e-14) * (1 - exact_q)
-
-    def test_classical_parameter_dispatches(self):
-        assert solve_r_omega(2.5, QParam(1.0)) == pytest.approx(0.5)
 
     def test_near_classical_value(self):
         assert solve_r_omega(2.5, QParam(1.0 - 1e-9)) == pytest.approx(
@@ -303,6 +330,12 @@ class TestBrentq:
         def both(f, a, b, **kwargs):
             ours = _outcome(brentq, f, a, b, **kwargs)
             reference = _outcome(reference_brentq, f, a, b, **kwargs)
+            if f(a) == 0.0:
+                # far above the support the lower end 1/[x]_q is often an
+                # exact root, where scipy leaves its iteration count unset:
+                # compare the root and the call count
+                assert ours[1] == 0
+                ours, reference = ours[::2], reference[::2]
             seen.append((f.__name__, ours, reference))
             return ours[0]
 
