@@ -114,6 +114,10 @@ class TestSolveROmega:
                 defect = r * (1 - power) - (1 - exact_q)
                 assert abs(defect) <= Decimal(1e-14) * (1 - exact_q)
 
+    def test_classical_parameter_dispatches(self):
+        # q = 1 takes the same solve as every other q, not a separate branch
+        assert solve_r_omega(2.5, QParam(1.0)) == pytest.approx(0.5)
+
     def test_near_classical_value(self):
         assert solve_r_omega(2.5, QParam(1.0 - 1e-9)) == pytest.approx(
             0.5, abs=1e-6
