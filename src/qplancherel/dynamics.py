@@ -174,9 +174,9 @@ def _exact_flow(y0: tuple[float, ...], sigma: float, where: str) -> tuple[tuple[
     A needs no second call.  A defect above 1e-12 raises
     IntegrationAccuracyError, and a moment beyond the floating-point
     range, or a polynomial coefficient beyond it, raises
-    MomentOverflowError.  The gate sums over the partitions
-    of each order, so an order above ``LEVEL_CAP`` raises CapacityError
-    before any polynomial is built.
+    MomentOverflowError.  The exact coefficient table costs O(N^3)
+    rational work at order N, so an order above ``LEVEL_CAP`` raises
+    CapacityError before any polynomial is built.
     """
     if len(y0) > LEVEL_CAP:
         raise CapacityError(

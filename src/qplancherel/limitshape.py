@@ -36,6 +36,8 @@ from .qmeasure import QParam
 _BRENTQ_XTOL = 2e-12
 _BRENTQ_RTOL = 4 * math.ulp(1.0)
 _BRENTQ_MAXITER = 100
+# Past (x - t_+) rho = 38, q^(x - c R) < e^-38 < 2^-54 and R rounds to 1 - q.
+_FAR_FIELD_EXPONENT = 38.0
 
 
 @dataclass(frozen=True)
@@ -156,16 +158,21 @@ def solve_r_omega(x: float, qp: QParam) -> float:
     (:func:`support_edges`), so x - c r stays positive on the bracket
     and [x - c r]_q cannot overflow.  One :func:`brentq` solve per root.
     Where g(t_+/c) rounds to zero or below, the root is the edge's
-    double root to rounding, and t_+/c is returned; at x = inf the
+    double root to rounding, and t_+/c is returned.  Where
+    q^(x - t_+) < e^-38, below a quarter ulp of 1, and at x = inf the
     value is 1 - q.  Raises BracketingError (reporting the bracket on
     which g is negative) when x is below u_+, and ValueError when x is
     NaN.
     """
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
-    if x == math.inf:  # the limit; at q = 1, lo = 1/[x]_q = 0 brackets nothing
+    rho = qp.log_inv
+    t_plus = _edge_t(rho)
+    # the limit (at q = 1, lo = 1/[x]_q = 0 brackets nothing), and the far
+    # field, where c r <= t_+ leaves R = (1 - q) / (1 - q^(x - c r)) at 1 - q
+    if x == math.inf or (x - t_plus) * rho >= _FAR_FIELD_EXPONENT:
         return qp.one_minus_q
-    hi = _edge_t(qp.log_inv) / qp.c
+    hi = t_plus / qp.c
     u_plus = support_edges(qp)[1]
     if x < u_plus:
         raise BracketingError(

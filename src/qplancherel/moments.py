@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from . import kernel
-from .diagrams import InterlacingDiagram, enumerate_level
+from .diagrams import InterlacingDiagram
 from .qmeasure import MomentOverflowError, QParam
 
 # Below this distance to a pole of the R-function, evaluation refuses.
@@ -109,9 +108,10 @@ def rayleigh_measure(w: InterlacingDiagram) -> DiscreteMeasure:
 
 
 def _qpow_neg(qp: QParam, n: int, s: float) -> float:
-    # q^(-n s); the guard keeps exp() inside the double range.
+    # q^(-n s); the guard keeps exp() inside the double range, and a term
+    # that only underflows goes to zero.
     exponent = n * s * qp.log_inv
-    if abs(exponent) > _EXP_GUARD:
+    if exponent > _EXP_GUARD:
         raise MomentOverflowError(
             f"q^(-{n} * {s}) is outside floating-point range at q = {qp.q}"
         )
@@ -183,23 +183,13 @@ def h_to_p(h: MomentVector) -> MomentVector:
     return MomentVector("p", tuple(p))
 
 
-@cache
-def _partition_profiles(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # each profile is ((part, multiplicity), ...) for one partition of n
-    profiles = []
-    for lam in enumerate_level(n):
-        mults: dict[int, int] = {}
-        for part in lam.parts:
-            mults[part] = mults.get(part, 0) + 1
-        profiles.append(tuple(sorted(mults.items())))
-    return tuple(profiles)
-
-
 def h_from_p_partition_sum(p_values, n: int) -> float:
     """h_n as the explicit partition sum of products of p_k.
 
     sum over partitions (1^{r_1} 2^{r_2} ...) of n of
-    prod_k p_k^{r_k} / (k^{r_k} r_k!).  Used as the brute-force route
+    prod_k p_k^{r_k} / (k^{r_k} r_k!), with the terms grouped by part
+    size: the coefficient of z^n in prod_{k<=n} sum_r (p_k z^k / k)^r / r!,
+    built up one part size k at a time.  Used as the brute-force route
     next to :func:`p_to_h` and as the right-hand side of the moment flow.
     An h_n that is not finite raises MomentOverflowError.
     """
@@ -207,18 +197,18 @@ def h_from_p_partition_sum(p_values, n: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if len(p_values) < n:
         raise ValueError(f"need p_1..p_{n}, got only {len(p_values)}")
-    total = []
-    try:
-        for profile in _partition_profiles(n):
-            term = 1.0
-            for part, mult in profile:
-                term *= p_values[part - 1] ** mult / (
-                    part**mult * math.factorial(mult)
-                )
-            total.append(term)
-    except OverflowError:  # a power p_k^r past the double range
-        return _finite("h", n, math.inf)
-    return _finite("h", n, _fsum(total))
+    coeffs = [1.0] + [0.0] * n  # coeffs[m]: the partitions of m into parts <= k
+    for k in range(1, n + 1):
+        a = p_values[k - 1] / k
+        # descending m, so coeffs[m - r k] still holds the parts < k; after
+        # part k only m = n and m <= n - k - 1 can still be lifted to n
+        for m in (n, *range(n - k - 1, k - 1, -1)):
+            term, total = 1.0, coeffs[m]
+            for r in range(1, m // k + 1):
+                term *= a / r
+                total += term * coeffs[m - r * k]
+            coeffs[m] = total
+    return _finite("h", n, coeffs[n])
 
 
 def r_diagram(w: InterlacingDiagram, qp: QParam, x: float) -> float:

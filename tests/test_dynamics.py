@@ -338,7 +338,7 @@ class TestExactFlow:
             limit_moments(QParam(0.5), 0)
 
     def test_order_above_cap_refused_before_any_polynomial(self, monkeypatch):
-        # the defect gate sums over the partitions of each order, so an
+        # the exact coefficient table costs O(N^3) rational work, so an
         # order above the level cap is refused before the flow is built
         def unbuilt(y0):
             raise AssertionError("built a flow polynomial above the cap")

@@ -68,6 +68,13 @@ class TestSolveROmega:
         for q in (0.01, 0.5, 0.95):
             qp = QParam(q)
             assert [solve_r_omega(x, qp) for x in far] == [1.0 - q] * len(far)
+        # and at random q, past the last bit of q^(x - c R), the root is
+        # 1 - q itself, not the bracket form's 1/fl(1/(1 - q))
+        rng = random.Random(34)
+        for _ in range(2000):
+            qp = QParam(rng.random())
+            limit = solve_r_omega(math.inf, qp)
+            assert [solve_r_omega(x, qp) for x in (1e100, 1e300)] == [limit] * 2, qp.q
         # at q = 1 the root decays like 1/x, to 0 at infinity, without
         # an overflow of x^2 on the way
         classical = QParam(1.0)

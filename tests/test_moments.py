@@ -231,6 +231,18 @@ def test_moment_overflow_guard():
         p_moments(w, qp, 10)
 
 
+def test_moments_of_underflowing_terms_are_finite():
+    # a single column at q = 0.01: q^(-n x) underflows at the far minimum
+    # x = -16, while p_10 ~ q^-10 = 1e20 stays finite
+    w = to_interlacing(Partition((1,) * 16))
+    qp = QParam(0.01)
+    for moments in (
+        p_moments(w, qp, 10),
+        h_moments(transition_measure(w, qp), qp, 10),
+    ):
+        assert moments.moment(10) == pytest.approx(1e20, rel=1e-12)
+
+
 def test_h_moments_classical_total_mass():
     # q^(-n s) = 1 at q = 1, so every h_n is the total mass
     mu = DiscreteMeasure((-2.0, 0.5, 3.0), (0.25, 0.5, 0.75))
