@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import dynamics, growth, kernel, limitshape, moments, qmeasure, rsk
-from .diagrams import Partition, enumerate_level, to_interlacing
+from .diagrams import Partition, _level_parts, to_interlacing
 from .qmeasure import QParam
 
 
@@ -23,8 +23,9 @@ def random_partitions(count: int, max_boxes: int, seed: int) -> list[Partition]:
     out = []
     for _ in range(count):
         n = int(rng.integers(1, max_boxes + 1))
-        level = enumerate_level(n)
-        out.append(level[int(rng.integers(0, len(level)))])
+        level = _level_parts(n)
+        row = level[int(rng.integers(0, len(level)))]
+        out.append(Partition(tuple(filter(None, row.tolist()))))
     return out
 
 
@@ -50,10 +51,11 @@ def kernel_oracle(shapes=None) -> float:
     """Worst weight gap between the product formula and the partial-fraction solve."""
     if shapes is None:
         shapes = random_partitions(40, 20, seed=2024)
+    profiles = [to_interlacing(shape) for shape in shapes]
     return _worst(
         abs(a - b)
         for qp in map(QParam, (0.3, 0.7, 0.95, 1.0))
-        for w in map(to_interlacing, shapes)
+        for w in profiles
         for a, b in zip(
             kernel.transition_weights(w, qp), kernel.partial_fraction_weights(w, qp)
         )

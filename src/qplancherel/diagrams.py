@@ -13,7 +13,9 @@ integer sequences
 one more minimum than maxima, and for a partition the center identity
 ``sum(x) - sum(y) = 0`` holds.  All combinatorial quantities here (hook
 lengths, the statistic b, the number of standard tableaux) are exact
-integers; floating point enters only downstream.
+integers; floating point enters only downstream.  A whole level is
+also held as arrays, one row per partition (:func:`_level_table`), for
+the sums and draws that run over every shape of a level.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 # Largest level enumerate_level lists; a level's size grows exponentially in n.
 LEVEL_CAP = 40
+# Cells of one row chunk of the hook build (rows x n).  The chunk bounds
+# its peak memory: the hook identity at level 40 peaked at 60 MB RSS in
+# chunks, and at 174 MB with the whole level in one pass.
+_HOOK_CHUNK_CELLS = 1 << 15
 # The exact types whose values the validations check in one C-level pass.
 _INT = {int}
 _REAL = {int, float}
@@ -144,23 +152,87 @@ def enumerate_level(n: int) -> tuple[Partition, ...]:
     The first entry is the single row (n,), the last the single column.
     Levels above ``LEVEL_CAP`` raise CapacityError.
     """
+    return tuple(
+        Partition(tuple(filter(None, row))) for row in _level_parts(n).tolist()
+    )
+
+
+@cache
+def _level_parts(n: int) -> np.ndarray:
+    # the partitions of n as the rows of an S x n int8 matrix, zero
+    # padded, in decreasing lexicographic order.  Those with largest part
+    # p are p followed by the partitions of n - p with no part above p,
+    # which are the last rows of level n - p, so each level is stacked
+    # from the finished smaller ones
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     if n > LEVEL_CAP:
         raise CapacityError(
             f"level enumeration requested at level {n}, above the cap {LEVEL_CAP}"
         )
+    blocks = []
+    for part in range(n, 0, -1):
+        rest = _level_parts(n - part)
+        if n - part > part:
+            rest = rest[rest[:, 0] <= part]
+        block = np.zeros((len(rest), n), dtype=np.int8)
+        block[:, 0] = part
+        block[:, 1 : 1 + rest.shape[1]] = rest
+        blocks.append(block)
+    parts = np.concatenate(blocks) if blocks else np.zeros((1, 0), dtype=np.int8)
+    parts.flags.writeable = False
+    return parts
 
-    def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            gen(remaining - part, part, prefix + (part,))
 
-    out: list[Partition] = []
-    gen(n, n if n else 1, ())
-    return tuple(out)
+@dataclass(frozen=True)
+class _LevelTable:
+    """Every shape of one level as arrays, one row per shape.
+
+    Rows follow :func:`enumerate_level`; ``hooks`` has the n hook lengths
+    of :func:`hook_data`'s row-major order, and ``dim`` the exact
+    tableau count rounded once to a double.
+    """
+
+    parts: np.ndarray
+    hooks: np.ndarray
+    b_stat: np.ndarray
+    dim: np.ndarray
+
+
+@cache
+def _level_table(n: int) -> _LevelTable:
+    # hook data of a whole level; like enumerate_level, refused above
+    # LEVEL_CAP
+    parts = _level_parts(n)
+    rows = _HOOK_CHUNK_CELLS // max(1, n)
+    chunks = [_hook_rows(parts[r : r + rows]) for r in range(0, len(parts), rows)]
+    fact = math.factorial(n)
+    dim = np.array(
+        [float(fact // math.prod(row)) for chunk in chunks for row in chunk.tolist()]
+    )
+    hooks = np.concatenate(chunks)
+    b_stat = parts.astype(np.int64) @ np.arange(n, dtype=np.int64)
+    for array in (hooks, b_stat, dim):
+        array.flags.writeable = False
+    return _LevelTable(parts, hooks, b_stat, dim)
+
+
+def _hook_rows(parts: np.ndarray) -> np.ndarray:
+    # the hooks parts_i - j + conj_j - i - 1 of each row's n cells (i, j),
+    # j < parts_i, in row-major order, by flat passes over the cells
+    count, n = parts.shape
+    lengths = parts.ravel().astype(np.intp)
+    shape = np.arange(count).repeat(n)
+    # conj_j counts the parts above j: a suffix sum of the multiplicities
+    sizes = np.bincount(shape * (n + 1) + lengths, minlength=count * (n + 1))
+    conj = sizes.reshape(count, n + 1)[:, :0:-1].cumsum(axis=1)[:, ::-1].ravel()
+    col = np.tile(np.arange(n), count)
+    i = col.repeat(lengths)
+    # a shape's cells are its rows laid end to end
+    starts = parts.cumsum(axis=1, dtype=np.intp) - parts
+    j = col - starts.ravel().repeat(lengths)
+    hooks = lengths.repeat(lengths) - j + conj[shape * n + j] - i - 1
+    return hooks.astype(np.int8).reshape(count, n)
 
 
 def _is_number(v) -> bool:

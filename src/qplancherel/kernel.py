@@ -163,9 +163,11 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
         lcm = math.lcm(*(d for _, d in pairs))
         rows.append(_primitive([n * (lcm // d) for n, d in pairs]))
     for col in range(m):
-        pivot = next((i for i in range(col, m) if rows[i][col]), None)
-        if pivot is None:
+        # the shortest nonzero pivot keeps the cross-multiplied rows short
+        candidates = [i for i in range(col, m) if rows[i][col]]
+        if not candidates:
             raise SingularSystemError("exact partial-fraction system is singular")
+        pivot = min(candidates, key=lambda i: abs(rows[i][col]).bit_length())
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
         for i in range(col + 1, m):
@@ -175,15 +177,18 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
             g = math.gcd(top[col], row[col])
             s, t = top[col] // g, row[col] // g
             rows[i] = _primitive([s * u - t * v for u, v in zip(row, top)])
-    # the kernel vector from mu_{m+1} = 1, kept integer: scaling the
-    # entries solved so far by the pivot makes mu_i = -sum_{j>i} row_j mu_j
+    # the kernel vector from mu_{m+1} = 1, kept integer: mu_i is
+    # acc / pivot with acc = -sum_{j>i} row_j mu_j, so scaling the entries
+    # solved so far by pivot / g and setting mu_i = acc / g, for
+    # g = gcd(acc, pivot), keeps the vector primitive
     nu = [0] * m + [1]
     for i in range(m - 1, -1, -1):
         row = rows[i]
         acc = -sum(u * v for u, v in zip(row[i + 1 :], nu[i + 1 :]))
-        nu = [row[i] * v for v in nu]
-        nu[i] = acc
-        nu = _primitive(nu)
+        g = math.gcd(acc, row[i])
+        scale = row[i] // g
+        nu = [scale * v for v in nu]
+        nu[i] = acc // g
     total = sum(nu)
     return tuple(v / total for v in nu)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import HookData, Partition, enumerate_level, hook_data
+from .diagrams import HookData, Partition, _level_table, hook_data
 
 
 class MomentOverflowError(OverflowError):
@@ -98,11 +98,39 @@ def _hook_weight(data: HookData, qp: QParam, table: list[float]) -> float:
         value /= table[h]
     if value >= sys.float_info.min:
         return data.dim * value
+    return _log_weight(data.dim, data.b_stat, data.hooks, qp, table)
+
+
+def _log_weight(dim, b_stat: int, hooks, qp: QParam, table: list[float]) -> float:
+    # the weight of _hook_weight in log space; dim is an int or its
+    # double, which math.log reads alike
     return math.exp(
-        math.log(data.dim)
-        - data.b_stat * qp.log_inv
-        - math.fsum(math.log(table[h]) for h in data.hooks)
+        math.log(dim)
+        - b_stat * qp.log_inv
+        - math.fsum(math.log(table[h]) for h in hooks)
     )
+
+
+def _level_weights(n: int, qp: QParam) -> np.ndarray:
+    # q_measure of every shape of level n, in enumerate_level's order and
+    # bit for bit: the same Python q**b, the same divisions in hook order
+    # (one column of the level's hook matrix at a time; IEEE division is
+    # correctly rounded in numpy as in Python), the same underflow test,
+    # and the log-space branch for the rows that fail it
+    level = _level_table(n)
+    table = _bracket_table(n, qp)
+    brackets = np.array(table)
+    powers = np.array([qp.q**b for b in range(n * (n - 1) // 2 + 1)])
+    value = powers[level.b_stat]
+    for column in level.hooks.T:
+        value /= brackets[column]
+    low = np.flatnonzero(~(value >= sys.float_info.min))
+    value *= level.dim
+    for r in low.tolist():
+        hooks = level.hooks[r].tolist()
+        b_stat = int(level.b_stat[r])
+        value[r] = _log_weight(float(level.dim[r]), b_stat, hooks, qp, table)
+    return value
 
 
 def q_measure(partition: Partition, qp: QParam) -> float:
@@ -140,9 +168,4 @@ def hook_identity_residual(n: int, qp: QParam) -> float:
         raise MomentOverflowError(
             f"(1 - q)^(-{n}) at q = {qp.q} exceeds the floating-point range"
         ) from None
-    table = _bracket_table(n, qp)
-    total = math.fsum(
-        _hook_weight(data, qp, table)
-        for data in map(hook_data, enumerate_level(n))
-    )
-    return (total - 1.0) * scale
+    return (math.fsum(_level_weights(n, qp).tolist()) - 1.0) * scale

@@ -1,8 +1,10 @@
 """Reference routes that only the tests use.
 
 Each is an independent route to a quantity the package computes, or an
-identity the paper rests on: exact partial-fraction weights, the Young
-lattice's covering relations, the exact harmonic function, tableau
+identity the paper rests on: exact partial-fraction weights, the
+partitions of a level listed one by one and the measure and hook
+identity summed shape by shape over them, a sample drawn from those
+lists, the Young lattice's covering relations, the exact harmonic function, tableau
 enumeration and its major index, an exact sampler of the q-Plancherel
 measure (RSK of geometric words), the moment flow's polynomials by a
 recursion on the prefixes of the initial vector, the classical limit
@@ -27,7 +29,7 @@ from qplancherel import (
     poincare_polynomial,
     solve_r_omega,
 )
-from qplancherel.qmeasure import polynomial_bracket
+from qplancherel.qmeasure import polynomial_bracket, q_measure
 from qplancherel.rsk import maj_distribution, rsk_shape
 
 
@@ -95,6 +97,42 @@ def remove_box(lam: Partition, k: int) -> Partition:
 def successors(lam: Partition) -> list[Partition]:
     """Partitions covering ``lam`` in the Young lattice."""
     return [lam.add_box(k) for k in range(len(lam.addable_rows()))]
+
+
+def level_partitions(n: int) -> list[Partition]:
+    """The partitions of n in decreasing lexicographic order, one by one."""
+    out = []
+
+    def gen(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
+        if remaining == 0:
+            out.append(Partition(prefix))
+        for part in range(min(remaining, largest), 0, -1):
+            gen(remaining - part, part, prefix + (part,))
+
+    gen(n, n, ())
+    return out
+
+
+def level_weights_by_shape(n: int, qp: QParam) -> list[float]:
+    """``q_measure`` of each partition of n, in level order."""
+    return [q_measure(lam, qp) for lam in level_partitions(n)]
+
+
+def hook_identity_residual_by_shape(n: int, qp: QParam) -> float:
+    """The hook identity's residual from the level's measure, shape by shape."""
+    return (math.fsum(level_weights_by_shape(n, qp)) - 1.0) * qp.one_minus_q**-n
+
+
+def random_partitions_by_level(
+    count: int, max_boxes: int, seed: int
+) -> list[Partition]:
+    """``checks.random_partitions`` by listing each drawn level and indexing it."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = []
+    for _ in range(count):
+        level = level_partitions(int(rng.integers(1, max_boxes + 1)))
+        out.append(level[int(rng.integers(0, len(level)))])
+    return out
 
 
 def predecessors(lam: Partition) -> list[Partition]:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from qplancherel import checks, cli, dynamics, growth, kernel, limitshape
+import qplancherel
+from qplancherel import checks, cli, diagrams, dynamics, growth, kernel, limitshape
 from qplancherel import moments, qmeasure
 from qplancherel.cli import (
     EXIT_CAPACITY,
@@ -28,7 +29,7 @@ from qplancherel.dynamics import limit_moments
 from qplancherel.moments import MomentVector
 from qplancherel.qmeasure import QParam
 
-from oracles import classical_r
+from oracles import classical_r, random_partitions_by_level
 
 
 class TestRunConfig:
@@ -278,6 +279,61 @@ class TestVerifyCommand:
         assert [(s["name"], s["tolerance"]) for s in payload["suites"]] == [
             (name, tol) for name, (_, tol) in checks.CHECKS.items()
         ]
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ("", "e8f99ca4c0abd22e40a5fc51725e6013c8d872c2ce32d2712e1d083761ac5cf5"),
+            ("--format json", "cdf51ed2fc42928b03abf02e4fe49d1745a52cf1e6f032e3045b236ba0d3c6e6"),
+        ],
+    )
+    def test_stdout_is_frozen(self, flags, digest, capsys):
+        # every max_error bit as first recorded; a rerun of the same code
+        # cannot show a change that moves one
+        assert main(["verify", *flags.split()]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cold_run_matches_warm_rerun(self, capsys):
+        # the level caches filled by the first run answer the second
+        for cached in (
+            diagrams.enumerate_level,
+            diagrams.hook_data,
+            diagrams._level_parts,
+            diagrams._level_table,
+        ):
+            cached.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", "--format", "json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "count, max_boxes, seed",
+        [
+            # verify's inputs
+            (40, 20, 2024),
+            (30, 12, 515),
+            (15, 15, 77),
+            # the acceptance criteria's
+            (200, 25, 20240),
+            (100, 15, 41),
+            (25, 15, 7),
+            (25, 15, 8),
+            (1, 10, 3),
+        ],
+    )
+    def test_random_partitions_list_no_level(self, count, max_boxes, seed, monkeypatch):
+        # the draws index the level's parts table; no level is listed
+        def refuse(n):
+            raise AssertionError(f"level {n} listed")
+
+        for module in (diagrams, checks, qplancherel):
+            monkeypatch.setattr(module, "enumerate_level", refuse, raising=False)
+        assert checks.random_partitions(count, max_boxes, seed) == (
+            random_partitions_by_level(count, max_boxes, seed)
+        )
 
     @pytest.mark.parametrize(
         "suite, module, attr",

@@ -16,10 +16,16 @@ from qplancherel import (
     hook_data,
     to_interlacing,
 )
-from qplancherel.diagrams import LEVEL_CAP
+from qplancherel.diagrams import LEVEL_CAP, _level_table
 
 from conftest import partitions
-from oracles import predecessors, remove_box, removable_rows, successors
+from oracles import (
+    level_partitions,
+    predecessors,
+    remove_box,
+    removable_rows,
+    successors,
+)
 
 
 def test_partition_validation():
@@ -238,6 +244,51 @@ def test_capacity_limit():
     with pytest.raises(CapacityError, match="level 41"):
         enumerate_level(LEVEL_CAP + 1)
     assert len(enumerate_level(5)) == 7
+
+
+def _assert_table_row(table, r: int, lam: Partition) -> None:
+    data = hook_data(lam)
+    assert tuple(filter(None, table.parts[r].tolist())) == lam.parts
+    assert tuple(table.hooks[r].tolist()) == data.hooks
+    assert table.b_stat[r] == data.b_stat
+    assert table.dim[r] == float(data.dim)
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_level_table_matches_the_shapes(n):
+    # the table's rows are the level's partitions one by one, in order,
+    # with their hook data exactly
+    level = enumerate_level(n)
+    assert level == tuple(level_partitions(n))
+    table = _level_table(n)
+    assert len(table.parts) == len(level)
+    for r, lam in enumerate(level):
+        _assert_table_row(table, r, lam)
+
+
+def test_level_table_at_the_cap():
+    level = enumerate_level(LEVEL_CAP)
+    table = _level_table(LEVEL_CAP)
+    assert len(table.parts) == len(level) == _partition_counts(LEVEL_CAP)[-1]
+    rows = np.random.default_rng(40).choice(len(level), size=200, replace=False)
+    for r in [0, len(level) - 1, *rows.tolist()]:
+        _assert_table_row(table, r, level[r])
+
+
+def test_level_table_range():
+    with pytest.raises(CapacityError, match="level 41"):
+        _level_table(LEVEL_CAP + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _level_table(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_level(-1)
+
+
+def test_level_table_is_cached_and_read_only():
+    table = _level_table(9)
+    assert _level_table(9) is table
+    for array in (table.parts, table.hooks, table.b_stat, table.dim):
+        assert not array.flags.writeable
 
 
 def test_enumeration_is_cached():

@@ -17,12 +17,17 @@ from qplancherel import (
     q_measure,
     q_measure_exact,
 )
-from qplancherel import moments
+from qplancherel import moments, qmeasure
 from qplancherel.diagrams import LEVEL_CAP
-from qplancherel.qmeasure import MomentOverflowError
+from qplancherel.qmeasure import MomentOverflowError, _level_weights
 
 from conftest import partitions
-from oracles import harmonic, successors
+from oracles import (
+    harmonic,
+    hook_identity_residual_by_shape,
+    level_weights_by_shape,
+    successors,
+)
 
 
 def test_qparam_validation():
@@ -120,6 +125,31 @@ def test_hook_identity(q):
     for n in range(1, 17):
         residual = hook_identity_residual(n, qp)
         assert abs(residual) * (1.0 - q) ** n < 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-20, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-9])
+def test_level_weights_match_shape_by_shape(q):
+    # the level's array passes keep every bit of the per-shape route
+    qp = QParam(q)
+    for n in range(21):
+        assert _level_weights(n, qp).tolist() == level_weights_by_shape(n, qp)
+        assert hook_identity_residual(n, qp) == hook_identity_residual_by_shape(n, qp)
+
+
+def test_level_weights_take_the_log_space_branch(monkeypatch):
+    # at q = 1e-20, q^b leaves the normal range from b = 16 on
+    qp = QParam(1e-20)
+    expected = level_weights_by_shape(20, qp)
+    calls = []
+    log_weight = qmeasure._log_weight
+
+    def counted(*args):
+        calls.append(args)
+        return log_weight(*args)
+
+    monkeypatch.setattr(qmeasure, "_log_weight", counted)
+    assert _level_weights(20, qp).tolist() == expected
+    assert calls
 
 
 def test_hook_identity_scale_overflow_is_typed():
