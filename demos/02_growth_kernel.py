@@ -47,6 +47,10 @@ print(f"largest |product - solve| over {len(a)} corners: "
 print()
 print("== sampling the chain ==")
 trajectory = grow_trajectory(8, qp, seed=7)
+# the chain is kept as the 0-based row of each grown box (its row word);
+# the states are the shapes of the word's prefixes
+print(f"row word: {trajectory.rows}")
+print("states, one per prefix of the word:")
 for state in trajectory.states:
     print(f"  {state.parts}")
 

@@ -30,23 +30,27 @@ limit gives sum_k mu_k = 1.  :func:`partial_fraction_weights` solves
 these m + 1 equations exactly: an oracle independent of the product
 formula.  With q = a / b exactly as its double has it, each entry is an
 integer pair.  The system is homogeneous, so each row is cleared to
-integers and divided by its content (the gcd of its entries), the
-elimination and the back substitution run on such primitive integer
-vectors, and each weight is rounded once, by Python's correctly rounded
-int true division.
+integers by the lcm of its denominators and never divided by its
+content: a common factor moves no weight.  The elimination runs on
+these integer rows, the back substitution keeps the kernel vector
+primitive, and each weight is rounded once, by Python's correctly
+rounded int true division.
 
 :func:`grow_trajectory` is the reference chain that the fast corner walk
 of :mod:`growth` is checked against.  It draws its uniforms in one block,
 keeps the corners and their rows between steps, updating them by the
 walk's stencil, and reads its brackets from one table per chain; the
 product formula itself runs on the code path of
-:func:`transition_weights`, so the chain's weights keep every bit.
+:func:`transition_weights`, so the chain's weights keep every bit.  A
+chain is returned as its row word, the row of each grown box, from
+which :class:`GrowthTrajectory` replays the states.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +118,6 @@ def _factor_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     return to_y, to_x
 
 
-def _primitive(row: list[int]) -> list[int]:
-    # the row divided by its content, the gcd of its entries; an all-zero
-    # row stays as it is
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     """Weights recovered from the partial-fraction identity by an exact solve.
 
@@ -131,12 +128,14 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
     1 / [d]_q up to the common factor 1 - q, is the integer pair
     b^d / (b^d - a^d) for d > 0 and -a^k / (b^k - a^k) for d = -k < 0,
     and 1 / d at q = 1.  The m x (m + 1) system is homogeneous, so each
-    row is cleared to integers by the lcm of its denominators and divided
-    by its content; elimination by cross-multiplication and back
-    substitution from mu_{m+1} = 1 keep every row and the kernel vector
-    primitive integer vectors.  Each weight is its entry over the
-    vector's sum, rounded once by int true division, which is correctly
-    rounded.  Requires integer corner coordinates, as a partition's
+    row is cleared to integers by the lcm of its denominators and is not
+    divided by its content.  Elimination by cross-multiplication,
+    row <- s row - t top with (s, t) the pivot pair over their gcd, keeps
+    the row space; back substitution from mu_{m+1} = 1 keeps the kernel
+    vector primitive through gcd(acc, pivot), whatever the rows' scale.
+    Each weight is its entry over the vector's sum, rounded once by int
+    true division, which is correctly rounded, so no common factor can
+    move a bit.  Requires integer corner coordinates, as a partition's
     profile has; any other diagram raises ValueError.
     """
     if any(v != int(v) for v in w.minima + w.maxima):
@@ -161,7 +160,7 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
     for y in maxima:
         pairs = [entries[y - x] for x in minima]
         lcm = math.lcm(*(d for _, d in pairs))
-        rows.append(_primitive([n * (lcm // d) for n, d in pairs]))
+        rows.append([n * (lcm // d) for n, d in pairs])
     for col in range(m):
         # the shortest nonzero pivot keeps the cross-multiplied rows short
         candidates = [i for i in range(col, m) if rows[i][col]]
@@ -176,7 +175,7 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
             # up to sign
             g = math.gcd(top[col], row[col])
             s, t = top[col] // g, row[col] // g
-            rows[i] = _primitive([s * u - t * v for u, v in zip(row, top)])
+            rows[i] = [s * u - t * v for u, v in zip(row, top)]
     # the kernel vector from mu_{m+1} = 1, kept integer: mu_i is
     # acc / pivot with acc = -sum_{j>i} row_j mu_j, so scaling the entries
     # solved so far by pivot / g and setting mu_i = acc / g, for
@@ -224,13 +223,33 @@ def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GrowthTrajectory:
-    """A sampled growth chain empty = states[0] < states[1] < ... ."""
+    """A sampled growth chain empty = states[0] < states[1] < ... .
 
-    states: tuple[Partition, ...]
+    Kept as its row word: ``rows[t]`` is the 0-based row of the box grown
+    at step t + 1, the Yamanouchi word of the chain's standard tableau.
+    The states are the word's prefixes, replayed on each access and not
+    cached, so a kept trajectory of n boxes holds n small ints.
+    """
+
+    rows: tuple[int, ...]
+
+    @property
+    def states(self) -> tuple[Partition, ...]:
+        parts: list[int] = []
+        states = [Partition(())]
+        for r in self.rows:
+            if r == len(parts):
+                parts.append(1)
+            else:
+                parts[r] += 1
+            states.append(Partition(tuple(parts)))
+        return tuple(states)
 
     @property
     def final(self) -> Partition:
-        return self.states[-1]
+        # the boxes of each row, counted in one pass over the word
+        counts = Counter(self.rows)
+        return Partition(tuple(counts[r] for r in range(len(counts))))
 
 
 def grow_trajectory(
@@ -246,9 +265,10 @@ def grow_trajectory(
     The corners are kept between steps: growing at the minimum c in row
     r makes c a maximum; c - 1 becomes a minimum in row r + 1 unless it
     was a maximum, which then goes, and c + 1 a minimum in row r on the
-    same rule.  Each step looks its brackets up in one table of [|d|]_q,
-    indexed by the integer matrix d = x_k - [x | y]: a shape of
-    t < n_boxes boxes has no corner distance above
+    same rule.  Each step records r, so the chain returns its row word
+    and makes no partition.  Each step looks its brackets up in one
+    table of [|d|]_q, indexed by the integer matrix d = x_k - [x | y]: a
+    shape of t < n_boxes boxes has no corner distance above
     lambda_1 + l(lambda) <= t + 1.  The table is bracketed as one
     contiguous float array, as the matrix of :func:`transition_weights`
     is, so numpy takes the same expm1 path on both, and the weights, and
@@ -263,10 +283,10 @@ def grow_trajectory(
     table = qp.bracket(
         np.concatenate([np.arange(n_boxes + 1.0), np.arange(n_boxes, 0.0, -1.0)])
     )
-    parts: list[int] = []
-    # minima and maxima ascending, and the 1-based row of each minimum
-    minima, maxima, rows = [0], [], [1]
-    states = [Partition(())]
+    # minima and maxima ascending, the 0-based row of each minimum, and
+    # the row word grown so far
+    minima, maxima, rows = [0], [], [0]
+    word: list[int] = []
     for u in uniforms:
         m = len(minima)
         xy = np.array(minima + maxima)
@@ -280,9 +300,5 @@ def grow_trajectory(
         minima[k : k + 1] = [c - 1] * left + [c + 1] * right
         rows[k : k + 1] = [r + 1] * left + [r] * right
         maxima[k - (not left) : k + (not right)] = [c]
-        if r > len(parts):
-            parts.append(1)
-        else:
-            parts[r - 1] += 1
-        states.append(Partition(tuple(parts)))
-    return GrowthTrajectory(tuple(states))
+        word.append(r)
+    return GrowthTrajectory(tuple(word))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -109,12 +110,15 @@ def test_oracle_matches_above_support_solve(q):
         assert partial_fraction_weights(w, qp) == above_support_weights(w, qp)
 
 
-# 60-box shapes with 9 and 8 minima: the primitive integer rows and the
-# kernel vector reach 5,500 to 14,400 bits at q < 1 (most at q = 1e-8),
-# and 28 to 35 bits from the (1, d) entries at q = 1
+# 60-box shapes with 9 and 8 minima and the 55-box staircase with 11: the
+# integer rows, never divided by their content, reach 6,500 to 21,800
+# bits at q < 1 (most at q = 1e-8) and the primitive kernel vector 3,900
+# to 14,400; the (1, d) entries at q = 1 keep them to 31-62 and 16-35 bits
 @pytest.mark.parametrize("q", [1e-8, 0.3, 1 - 1e-12, 1.0])
 @pytest.mark.parametrize(
-    "parts", [(11, 10, 9, 8, 7, 6, 5, 4), (20, 15, 10, 8, 4, 2, 1)], ids=str
+    "parts",
+    [(11, 10, 9, 8, 7, 6, 5, 4), (20, 15, 10, 8, 4, 2, 1), tuple(range(10, 0, -1))],
+    ids=str,
 )
 def test_oracle_matches_above_support_solve_at_60_boxes(parts, q):
     qp = QParam(q)
@@ -277,8 +281,38 @@ def test_trajectory_weights_are_the_product_formula(q, monkeypatch):
         assert weights == transition_weights(to_interlacing(state), qp)
 
 
+@pytest.mark.parametrize("n, q, seed, stream", FROZEN_TRAJECTORY_RUNS)
+def test_trajectory_is_its_row_word(n, q, seed, stream):
+    # state t + 1 is state t with one box added in row rows[t] (0-based)
+    trajectory = grow_trajectory(n, QParam(q), seed, stream)
+    states = trajectory.states
+    assert len(trajectory.rows) == n
+    for before, after, r in zip(states, states[1:], trajectory.rows):
+        assert after == before.add_box(before.addable_rows().index(r + 1))
+    assert trajectory.final == states[-1]
+
+
+def test_kept_trajectories_hold_only_their_words():
+    qp = QParam(0.5 ** (1 / 20))
+    # a first walk fills _factor_index's cache (25 distinct m over these
+    # chains, under its 32 slots), so the traced memory below is the
+    # chains' own
+    for seed in range(20):
+        grow_trajectory(400, qp, seed)
+    tracemalloc.start()
+    try:
+        kept = [grow_trajectory(400, qp, seed) for seed in range(20)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the words hold ~0.2 MB; 401 partitions per chain would hold 2.4 MB
+    assert len(kept) == 20
+    assert held < 0.5 * 2**20
+
+
 def test_trajectory_lengths():
     qp = QParam(0.5)
+    assert grow_trajectory(0, qp, seed=1).rows == ()
     assert grow_trajectory(0, qp, seed=1).states == (Partition(()),)
     assert grow_trajectory(1, qp, seed=1).states == (Partition(()), Partition((1,)))
     with pytest.raises(ValueError, match="nonnegative"):
