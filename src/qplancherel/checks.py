@@ -67,8 +67,10 @@ def pushforward(top: int = 6) -> float:
     return _worst(
         0.5
         * math.fsum(
-            abs(prob - qmeasure.q_measure(shape, qp))
-            for shape, prob in rsk.pushforward_exact(n, qp.q).items()
+            abs(prob - reference)
+            for prob, reference in zip(
+                rsk.pushforward_exact(n, qp.q).values(), qmeasure._level_weights(n, qp)
+            )
         )
         for qp in map(QParam, (0.2, 0.5, 0.8))
         for n in range(1, top + 1)

@@ -287,13 +287,13 @@ def run_pushforward(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("pushforward needs n >= 1")
     qp = QParam(config.q)
+    # both run in decreasing lexicographic shape order
     distribution = [
-        {
-            "shape": list(shape.parts),
-            "probability": prob,
-            "reference": qmeasure.q_measure(shape, qp),
-        }
-        for shape, prob in rsk.pushforward_exact(config.n, config.q).items()
+        {"shape": list(shape.parts), "probability": prob, "reference": reference}
+        for (shape, prob), reference in zip(
+            rsk.pushforward_exact(config.n, config.q).items(),
+            qmeasure._level_weights(config.n, qp).tolist(),
+        )
     ]
     rows = ["shape,probability,reference"]
     rows += [_csv_row(*d.values()) for d in distribution]

@@ -126,23 +126,20 @@ class HookData:
 def hook_data(partition: Partition) -> HookData:
     """Hook lengths (row-major), b = sum_i (i-1) * parts_i, and dim.
 
-    dim is the number of standard Young tableaux of the shape, computed
+    The hooks are the one-row case of the level tables' hook build.  dim
+    is the number of standard Young tableaux of the shape, computed
     exactly as n! divided by the hook product; the division is checked
     to be exact.  The cost is polynomial in the size, so no size is
     refused.
     """
     n = partition.size
-    conj = partition.conjugate().parts
-    hooks = []
-    for i, row_len in enumerate(partition.parts):
-        for j in range(row_len):
-            hooks.append(row_len - j + conj[j] - i - 1)
+    hooks = tuple(_hook_rows(np.array([partition.parts], dtype=np.intp))[0].tolist())
     b_stat = sum(i * p for i, p in enumerate(partition.parts))
-    prod = math.prod(hooks) if hooks else 1
+    prod = math.prod(hooks)
     fact = math.factorial(n)
     if fact % prod != 0:
         raise AssertionError(f"hook product does not divide {n}! for {partition}")
-    return HookData(tuple(hooks), b_stat, fact // prod)
+    return HookData(hooks, b_stat, fact // prod)
 
 
 @cache
@@ -202,10 +199,11 @@ class _LevelTable:
 @cache
 def _level_table(n: int) -> _LevelTable:
     # hook data of a whole level; like enumerate_level, refused above
-    # LEVEL_CAP
+    # LEVEL_CAP.  Level hooks are at most n <= 40, so int8 holds them
     parts = _level_parts(n)
     rows = _HOOK_CHUNK_CELLS // max(1, n)
-    chunks = [_hook_rows(parts[r : r + rows]) for r in range(0, len(parts), rows)]
+    starts = range(0, len(parts), rows)
+    chunks = [_hook_rows(parts[r : r + rows]).astype(np.int8) for r in starts]
     fact = math.factorial(n)
     dim = np.array(
         [float(fact // math.prod(row)) for chunk in chunks for row in chunk.tolist()]
@@ -218,21 +216,22 @@ def _level_table(n: int) -> _LevelTable:
 
 
 def _hook_rows(parts: np.ndarray) -> np.ndarray:
-    # the hooks parts_i - j + conj_j - i - 1 of each row's n cells (i, j),
-    # j < parts_i, in row-major order, by flat passes over the cells
-    count, n = parts.shape
+    # the hooks parts_i - j + conj_j - i - 1 of each row's cells (i, j),
+    # j < parts_i, in row-major order, by flat passes over the cells; the
+    # rows are zero-padded partitions of one size, any size
+    count, length = parts.shape
     lengths = parts.ravel().astype(np.intp)
-    shape = np.arange(count).repeat(n)
-    # conj_j counts the parts above j: a suffix sum of the multiplicities
-    sizes = np.bincount(shape * (n + 1) + lengths, minlength=count * (n + 1))
-    conj = sizes.reshape(count, n + 1)[:, :0:-1].cumsum(axis=1)[:, ::-1].ravel()
-    col = np.tile(np.arange(n), count)
-    i = col.repeat(lengths)
+    # conj_j counts the parts above j: a suffix sum of the multiplicities,
+    # binned by the largest part
+    width = int(lengths.max(initial=0)) + 1
+    shape = np.arange(count).repeat(length)
+    sizes = np.bincount(shape * width + lengths, minlength=count * width)
+    conj = sizes.reshape(count, width)[:, :0:-1].cumsum(axis=1)[:, ::-1].ravel()
     # a shape's cells are its rows laid end to end
-    starts = parts.cumsum(axis=1, dtype=np.intp) - parts
-    j = col - starts.ravel().repeat(lengths)
-    hooks = lengths.repeat(lengths) - j + conj[shape * n + j] - i - 1
-    return hooks.astype(np.int8).reshape(count, n)
+    i = np.tile(np.arange(length), count).repeat(lengths)
+    j = np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
+    conj_j = conj[(shape * (width - 1)).repeat(lengths) + j]
+    return (lengths.repeat(lengths) - j + conj_j - i - 1).reshape(count, -1)
 
 
 def _is_number(v) -> bool:

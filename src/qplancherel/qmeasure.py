@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import HookData, Partition, _level_table, hook_data
+from .diagrams import Partition, _level_table, hook_data
 
 
 class MomentOverflowError(OverflowError):
@@ -64,7 +64,8 @@ class QParam:
 
         ``d`` is a number or an ndarray, taken elementwise.  Either goes
         through ``math.expm1``, so an array bracket is the scalar bracket
-        bit for bit; one beyond the double range raises MomentOverflowError.
+        bit for bit; one beyond the double range raises MomentOverflowError,
+        which names the array's first such element.
         """
         if self.is_classical:
             return d
@@ -73,6 +74,9 @@ class QParam:
                 return -_libm(math.expm1, -d * self.log_inv) / self.one_minus_q
             return -math.expm1(-d * self.log_inv) / self.one_minus_q
         except OverflowError:
+            if isinstance(d, np.ndarray):
+                # the scalar route names the first element past the range
+                _libm(self.bracket, d)
             raise MomentOverflowError(
                 f"[{d}]_q at q = {self.q} exceeds the floating-point range"
             ) from None
@@ -96,22 +100,30 @@ def _bracket_table(n: int, qp: QParam) -> list[float]:
     return qp.bracket(np.arange(n + 1.0)).tolist()
 
 
-def _hook_weight(data: HookData, qp: QParam, table: list[float]) -> float:
-    # dim * q^b / prod [h]_q.  Every [h]_q is at least 1, so the
-    # running quotient only falls: while it ends in the normal range the
-    # direct product is accurate to rounding, and below it the same
-    # product is taken in log space, where dim can lift it back.
-    value = qp.q**data.b_stat
-    for h in data.hooks:
-        value /= table[h]
-    if value >= sys.float_info.min:
-        return data.dim * value
-    return _log_weight(data.dim, data.b_stat, data.hooks, qp, table)
+def _weights(hooks: np.ndarray, b_stat: list[int], dim: list, qp: QParam) -> list:
+    # dim * q^b / prod [h]_q of each row of a hook matrix, with the row's
+    # b and dim (an exact int or its double).  Every [h]_q is at least 1,
+    # so the running quotient only falls: while it ends in the normal
+    # range, dim times it is accurate to rounding (a dim past the double
+    # range never gets there), and below it the product is taken in log
+    # space, where dim can lift it back.  The divisions run one hook
+    # column at a time, in hook order (IEEE division is correctly rounded
+    # in numpy as in Python)
+    table = _bracket_table(int(hooks.max(initial=0)), qp)
+    brackets = np.array(table)
+    value = np.array([qp.q**b for b in b_stat])
+    for column in hooks.T:
+        value /= brackets[column]
+    tiny = sys.float_info.min
+    weights = [d * v if v >= tiny else 0.0 for d, v in zip(dim, value.tolist())]
+    for r in np.flatnonzero(~(value >= tiny)).tolist():
+        weights[r] = _log_weight(dim[r], b_stat[r], hooks[r].tolist(), qp, table)
+    return weights
 
 
 def _log_weight(dim, b_stat: int, hooks, qp: QParam, table: list[float]) -> float:
-    # the weight of _hook_weight in log space; dim is an int or its
-    # double, which math.log reads alike
+    # the weight of _weights in log space; dim is an int or its double,
+    # which math.log reads alike, and an int past the double range too
     return math.exp(
         math.log(dim)
         - b_stat * qp.log_inv
@@ -120,30 +132,16 @@ def _log_weight(dim, b_stat: int, hooks, qp: QParam, table: list[float]) -> floa
 
 
 def _level_weights(n: int, qp: QParam) -> np.ndarray:
-    # q_measure of every shape of level n, in enumerate_level's order and
-    # bit for bit: the same Python q**b, the same divisions in hook order
-    # (one column of the level's hook matrix at a time; IEEE division is
-    # correctly rounded in numpy as in Python), the same underflow test,
-    # and the log-space branch for the rows that fail it
+    # q_measure of every shape of level n, in enumerate_level's order
     level = _level_table(n)
-    table = _bracket_table(n, qp)
-    brackets = np.array(table)
-    powers = np.array([qp.q**b for b in range(n * (n - 1) // 2 + 1)])
-    value = powers[level.b_stat]
-    for column in level.hooks.T:
-        value /= brackets[column]
-    low = np.flatnonzero(~(value >= sys.float_info.min))
-    value *= level.dim
-    for r in low.tolist():
-        hooks = level.hooks[r].tolist()
-        b_stat = int(level.b_stat[r])
-        value[r] = _log_weight(float(level.dim[r]), b_stat, hooks, qp, table)
-    return value
+    return np.array(_weights(level.hooks, level.b_stat.tolist(), level.dim.tolist(), qp))
 
 
 def q_measure(partition: Partition, qp: QParam) -> float:
     """Probability of ``partition`` under the level-n deformed measure."""
-    return _hook_weight(hook_data(partition), qp, _bracket_table(partition.size, qp))
+    data = hook_data(partition)
+    hooks = np.array([data.hooks], dtype=np.intp)
+    return _weights(hooks, [data.b_stat], [data.dim], qp)[0]
 
 
 def q_measure_exact(partition: Partition, q: Fraction) -> Fraction:

@@ -1,9 +1,9 @@
 """Reference routes that only the tests use.
 
 Each is an independent route to a quantity the package computes, or an
-identity the paper rests on: exact partial-fraction weights, the
-partitions of a level listed one by one and the measure and hook
-identity summed shape by shape over them, a sample drawn from those
+identity the paper rests on: exact partial-fraction weights, hook
+data cell by cell, the partitions of a level listed one by one and the
+measure and hook identity summed shape by shape over them, a sample drawn from those
 lists, the Young lattice's covering relations, the exact harmonic function, tableau
 enumeration and its major index, an exact sampler of the q-Plancherel
 measure (RSK of geometric words), the moment flow's polynomials by a
@@ -15,6 +15,7 @@ R-function.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -29,7 +30,8 @@ from qplancherel import (
     poincare_polynomial,
     solve_r_omega,
 )
-from qplancherel.qmeasure import polynomial_bracket, q_measure
+from qplancherel.diagrams import HookData
+from qplancherel.qmeasure import polynomial_bracket
 from qplancherel.rsk import maj_distribution, rsk_shape
 
 
@@ -113,9 +115,45 @@ def level_partitions(n: int) -> list[Partition]:
     return out
 
 
+@cache
+def hook_data_by_cells(lam: Partition) -> HookData:
+    """``hook_data`` by a loop over the cells, row by row."""
+    conj = lam.conjugate().parts
+    hooks = []
+    for i, row_len in enumerate(lam.parts):
+        for j in range(row_len):
+            hooks.append(row_len - j + conj[j] - i - 1)
+    b_stat = sum(i * p for i, p in enumerate(lam.parts))
+    prod = math.prod(hooks)
+    fact = math.factorial(lam.size)
+    assert fact % prod == 0
+    return HookData(tuple(hooks), b_stat, fact // prod)
+
+
+def shape_weight(lam: Partition, qp: QParam) -> float:
+    """``q_measure`` of one shape: dim * q^b / prod [h]_q, hook by hook.
+
+    The same operations in the same order as the package's route, so
+    the bits agree: the quotient q^b / prod [h]_q, then dim times it
+    while it is a normal double, or the product in log space below that.
+    """
+    data = hook_data_by_cells(lam)
+    brackets = [qp.bracket(h) for h in data.hooks]
+    value = qp.q**data.b_stat
+    for bracket in brackets:
+        value /= bracket
+    if value >= sys.float_info.min:
+        return data.dim * value
+    return math.exp(
+        math.log(data.dim)
+        - data.b_stat * qp.log_inv
+        - math.fsum(math.log(bracket) for bracket in brackets)
+    )
+
+
 def level_weights_by_shape(n: int, qp: QParam) -> list[float]:
-    """``q_measure`` of each partition of n, in level order."""
-    return [q_measure(lam, qp) for lam in level_partitions(n)]
+    """``shape_weight`` of each partition of n, in level order."""
+    return [shape_weight(lam, qp) for lam in level_partitions(n)]
 
 
 def hook_identity_residual_by_shape(n: int, qp: QParam) -> float:

@@ -364,7 +364,7 @@ class TestVerifyCommand:
         "suite, module, attr",
         [
             ("kernel_oracle", kernel, "partial_fraction_weights"),
-            ("pushforward", qmeasure, "q_measure"),
+            ("pushforward", qmeasure, "_level_weights"),
             ("markov_krein", moments, "r_measure"),
             ("ode_closed_forms", dynamics, "closed_form"),
             ("limit_moments", limitshape, "series_h_omega"),

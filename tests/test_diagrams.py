@@ -20,6 +20,7 @@ from qplancherel.diagrams import LEVEL_CAP, _level_table
 
 from conftest import partitions
 from oracles import (
+    hook_data_by_cells,
     level_partitions,
     predecessors,
     remove_box,
@@ -247,11 +248,17 @@ def test_capacity_limit():
 
 
 def _assert_table_row(table, r: int, lam: Partition) -> None:
-    data = hook_data(lam)
+    data = hook_data_by_cells(lam)
     assert tuple(filter(None, table.parts[r].tolist())) == lam.parts
     assert tuple(table.hooks[r].tolist()) == data.hooks
     assert table.b_stat[r] == data.b_stat
     assert table.dim[r] == float(data.dim)
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_hook_data_matches_the_cells(n):
+    for lam in enumerate_level(n):
+        assert hook_data(lam) == hook_data_by_cells(lam)
 
 
 @pytest.mark.parametrize("n", range(26))

@@ -24,9 +24,12 @@ from qplancherel.qmeasure import MomentOverflowError, _level_weights
 
 from conftest import partitions
 from oracles import (
+    geometric_word_shape,
     harmonic,
+    hook_data_by_cells,
     hook_identity_residual_by_shape,
     level_weights_by_shape,
+    shape_weight,
     successors,
 )
 
@@ -137,6 +140,27 @@ def test_level_weights_match_shape_by_shape(q):
         assert hook_identity_residual(n, qp) == hook_identity_residual_by_shape(n, qp)
 
 
+def test_wide_shapes_match_the_shape_routes():
+    # hooks above int8's range (the row, the column, the word shape), and
+    # dims past the double range (the square, the word shape), whose
+    # measure takes the log-space branch with the exact int
+    shapes = [
+        Partition((300,)),
+        Partition((1,) * 300),
+        Partition((25,) * 25),
+        geometric_word_shape(2500, 0.5 ** (1 / 50), np.random.default_rng(2500)),
+    ]
+    data = [hook_data(lam) for lam in shapes]
+    assert [max(d.hooks) > 127 for d in data] == [True, True, False, True]
+    assert [d.dim > sys.float_info.max for d in data] == [False, False, True, True]
+    assert data == [hook_data_by_cells(lam) for lam in shapes]
+    for q in [1e-20, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9, 1.0]:
+        qp = QParam(q)
+        for lam in shapes:
+            assert q_measure(lam, qp) == shape_weight(lam, qp)
+    assert q_measure(shapes[2], QParam(1.0)) > 0.0
+
+
 def test_level_weights_take_the_log_space_branch(monkeypatch):
     # at q = 1e-20, q^b leaves the normal range from b = 16 on
     qp = QParam(1e-20)
@@ -195,6 +219,17 @@ def test_array_bracket_is_the_scalar_bracket(q):
                 qp.bracket(np.array([d]))
     assert len(ds) > 1200
     assert qp.bracket(np.array(ds)).tolist() == scalars
+
+
+def test_array_bracket_overflow_names_the_element():
+    # the message names the first element past the range, as the scalar
+    # message names its argument
+    with pytest.raises(MomentOverflowError) as error:
+        QParam(0.5).bracket(np.array([[1.0, -5000.0], [-6000.0, 2.0]]))
+    assert str(error.value) == "[-5000.0]_q at q = 0.5 exceeds the floating-point range"
+    with pytest.raises(MomentOverflowError) as scalar:
+        QParam(0.5).bracket(-5000.0)
+    assert str(scalar.value) == str(error.value)
 
 
 def test_log_space_branch_below_normal_range():

@@ -188,6 +188,14 @@ def test_pushforward_exact_rational():
             assert p == q_measure_exact(lam, q)
 
 
+@pytest.mark.parametrize("q", [0.5, Fraction(1, 3)])
+def test_pushforward_runs_in_level_order(q):
+    # cli pushforward and checks.pushforward zip the shapes with the
+    # level's weights, which follow enumerate_level
+    for n in range(1, 13):
+        assert list(pushforward_exact(n, q)) == list(enumerate_level(n))
+
+
 def test_pushforward_exact_classical():
     # at q = 1 the bias is uniform: dim^2 / n!, the Plancherel measure
     for n in range(1, 8):
