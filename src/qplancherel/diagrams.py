@@ -30,7 +30,7 @@ import numpy as np
 # Largest level enumerate_level lists; a level's size grows exponentially in n.
 LEVEL_CAP = 40
 # Cells of one row chunk of the hook build (rows x n).  The chunk bounds
-# its peak memory: the hook identity at level 40 peaked at 60 MB RSS in
+# its peak memory: the hook identity at level 40 peaked at 64 MB RSS in
 # chunks, and at 174 MB with the whole level in one pass.
 _HOOK_CHUNK_CELLS = 1 << 15
 # The exact types whose values the validations check in one C-level pass.
@@ -126,20 +126,13 @@ class HookData:
 def hook_data(partition: Partition) -> HookData:
     """Hook lengths (row-major), b = sum_i (i-1) * parts_i, and dim.
 
-    The hooks are the one-row case of the level tables' hook build.  dim
-    is the number of standard Young tableaux of the shape, computed
-    exactly as n! divided by the hook product; the division is checked
-    to be exact.  The cost is polynomial in the size, so no size is
-    refused.
+    The one-row case of the routine that gives hooks, b and dim for the
+    level tables too.  dim, the number of standard Young tableaux, is n!
+    over the hook product, exactly, with the division checked.  Every
+    field holds Python ints; the cost is polynomial, so no size is refused.
     """
-    n = partition.size
-    hooks = tuple(_hook_rows(np.array([partition.parts], dtype=np.intp))[0].tolist())
-    b_stat = sum(i * p for i, p in enumerate(partition.parts))
-    prod = math.prod(hooks)
-    fact = math.factorial(n)
-    if fact % prod != 0:
-        raise AssertionError(f"hook product does not divide {n}! for {partition}")
-    return HookData(hooks, b_stat, fact // prod)
+    hooks, b_stat, dim = _hook_rows(np.array([partition.parts], dtype=np.intp))
+    return HookData(tuple(hooks[0].tolist()), int(b_stat[0]), dim[0])
 
 
 @cache
@@ -198,27 +191,27 @@ class _LevelTable:
 
 @cache
 def _level_table(n: int) -> _LevelTable:
-    # hook data of a whole level; like enumerate_level, refused above
-    # LEVEL_CAP.  Level hooks are at most n <= 40, so int8 holds them
+    # a level's hook data, one row chunk of _hook_rows at a time; refused
+    # above LEVEL_CAP.  Hooks are at most n <= 40, so each chunk's go to
+    # int8 before the next is built; each exact dim is rounded once
     parts = _level_parts(n)
     rows = _HOOK_CHUNK_CELLS // max(1, n)
-    starts = range(0, len(parts), rows)
-    chunks = [_hook_rows(parts[r : r + rows]).astype(np.int8) for r in starts]
-    fact = math.factorial(n)
-    dim = np.array(
-        [float(fact // math.prod(row)) for chunk in chunks for row in chunk.tolist()]
-    )
-    hooks = np.concatenate(chunks)
-    b_stat = parts.astype(np.int64) @ np.arange(n, dtype=np.int64)
+    chunks = []
+    for r in range(0, len(parts), rows):
+        hooks, b_stat, dim = _hook_rows(parts[r : r + rows])
+        chunks.append((hooks.astype(np.int8), b_stat, list(map(float, dim))))
+    hooks, b_stat, dim = map(np.concatenate, zip(*chunks))
     for array in (hooks, b_stat, dim):
         array.flags.writeable = False
     return _LevelTable(parts, hooks, b_stat, dim)
 
 
-def _hook_rows(parts: np.ndarray) -> np.ndarray:
-    # the hooks parts_i - j + conj_j - i - 1 of each row's cells (i, j),
-    # j < parts_i, in row-major order, by flat passes over the cells; the
-    # rows are zero-padded partitions of one size, any size
+def _hook_rows(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    # for zero-padded rows of one size n, any size: each row's hooks
+    # parts_i - j + conj_j - i - 1 of its cells (i, j), j < parts_i, in
+    # row-major order (intp), by flat passes over the cells; its
+    # b = sum_i i * parts_i (int64); and its dim = n! / prod hooks, an
+    # exact int, checked to divide exactly
     count, length = parts.shape
     lengths = parts.ravel().astype(np.intp)
     # conj_j counts the parts above j: a suffix sum of the multiplicities,
@@ -231,7 +224,13 @@ def _hook_rows(parts: np.ndarray) -> np.ndarray:
     i = np.tile(np.arange(length), count).repeat(lengths)
     j = np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
     conj_j = conj[(shape * (width - 1)).repeat(lengths) + j]
-    return (lengths.repeat(lengths) - j + conj_j - i - 1).reshape(count, -1)
+    hooks = (lengths.repeat(lengths) - j + conj_j - i - 1).reshape(count, -1)
+    b_stat = parts.astype(np.int64) @ np.arange(length, dtype=np.int64)
+    products = list(map(math.prod, hooks.tolist()))
+    fact = math.factorial(hooks.shape[1])
+    if any(fact % p for p in products):
+        raise AssertionError(f"a hook product does not divide {hooks.shape[1]}!")
+    return hooks, b_stat, [fact // p for p in products]
 
 
 def _is_number(v) -> bool:

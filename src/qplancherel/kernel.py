@@ -90,8 +90,7 @@ def _product_weights(
     # |x_k - [x | y]| and the corners xy = [x | y], as ints or floats.
     # The one code path of transition_weights and of the reference chain
     m = len(brackets)
-    to_y, to_x = _factor_index(m)
-    ratios = brackets.take(to_y) / brackets.take(to_x)
+    ratios = brackets[:, m:] / brackets.take(_factor_index(m))
     # q^(E_k) by Python's pow, E_k the gaps x_{j+1} - y_j summed over j >= k
     folded = list(accumulate(reversed((xy[1:m] - xy[m:]).tolist()), initial=0.0))
     folded.reverse()
@@ -99,17 +98,17 @@ def _product_weights(
 
 
 # a chain's corner count moves by at most one per box, so a few recent m
-# cover it; the arrays hold 2 m (m - 1) indices
+# cover it; the array holds m (m - 1) indices
 @functools.lru_cache(maxsize=32)
-def _factor_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # flat positions in the m x (2m - 1) matrix |x_k - [x | y]| of factor
-    # j of mu_k: y_j in column m + j, and x_j (j < k) or x_{j+1} (j >= k)
+def _factor_index(m: int) -> np.ndarray:
+    # flat positions in the m x (2m - 1) matrix |x_k - [x | y]| of the x
+    # of factor j of mu_k: x_j (j < k) or x_{j+1} (j >= k).  Its y_j is
+    # column m + j, so the y-factors are the block [:, m:] and need no index
     k, j = np.indices((m, m - 1))
-    row = k * (2 * m - 1)
-    to_y, to_x = row + m + j, row + j + (j >= k)
-    # every caller shares the cached arrays
-    to_y.flags.writeable = to_x.flags.writeable = False
-    return to_y, to_x
+    to_x = k * (2 * m - 1) + j + (j >= k)
+    # every caller shares the cached array
+    to_x.flags.writeable = False
+    return to_x
 
 
 def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, ...]:
@@ -189,9 +188,12 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
 def sample_index(weights, u: float) -> int:
     """Inverse-CDF selection: first k whose Kahan running sum reaches u * total.
 
-    Ties resolve to the smaller index.
+    Ties resolve to the smaller index.  No weights, a NaN or infinite
+    weight, or all zeros raise ValueError: the fsum must be finite and positive.
     """
     total = math.fsum(weights)
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must have a finite positive sum, got {total}")
     threshold = u * total
     running = 0.0
     compensation = 0.0

@@ -107,13 +107,13 @@ def _weights(hooks: np.ndarray, b_stat: list[int], dim: list, qp: QParam) -> lis
     # range, dim times it is accurate to rounding (a dim past the double
     # range never gets there), and below it the product is taken in log
     # space, where dim can lift it back.  The divisions run one hook
-    # column at a time, in hook order (IEEE division is correctly rounded
-    # in numpy as in Python)
+    # column at a time, in hook order, the columns cast to intp once (IEEE
+    # division is correctly rounded in numpy as in Python)
     table = _bracket_table(int(hooks.max(initial=0)), qp)
     brackets = np.array(table)
     value = np.array([qp.q**b for b in b_stat])
-    for column in hooks.T:
-        value /= brackets[column]
+    for column in np.ascontiguousarray(hooks.T, dtype=np.intp):
+        value /= brackets.take(column)
     tiny = sys.float_info.min
     weights = [d * v if v >= tiny else 0.0 for d, v in zip(dim, value.tolist())]
     for r in np.flatnonzero(~(value >= tiny)).tolist():

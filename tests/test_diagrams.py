@@ -196,6 +196,8 @@ def test_hook_data_known():
     assert hd.hooks == (3, 1, 1)
     assert hd.b_stat == 1
     assert hd.dim == 2
+    # Python ints, not numpy scalars
+    assert {type(v) for v in (*hd.hooks, hd.b_stat, hd.dim)} == {int}
     assert hook_data(Partition((3, 2))).dim == 5
     assert hook_data(Partition((2, 2))).dim == 2
     assert hook_data(Partition(())).dim == 1

@@ -232,6 +232,16 @@ def test_sample_index_boundaries():
     assert sample_index(weights, 1.0) == 2
 
 
+@pytest.mark.parametrize(
+    "weights", [(), (0.5, math.nan), (0.5, math.inf), (0.0, 0.0, 0.0)]
+)
+def test_sample_index_refuses_weights_without_a_finite_positive_sum(weights):
+    # the selection loop alone returns -1 for no weights and the last
+    # index for a NaN weight
+    with pytest.raises(ValueError, match="finite positive sum"):
+        sample_index(weights, 0.5)
+
+
 def test_trajectory_determinism():
     a = grow_trajectory(25, QParam(0.5), seed=11, stream=0)
     b = grow_trajectory(25, QParam(0.5), seed=11, stream=0)

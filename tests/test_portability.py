@@ -27,6 +27,7 @@ from qplancherel.cli import EXIT_OK, main
 import test_cli
 import test_growth
 import test_kernel
+import test_qmeasure
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -47,6 +48,9 @@ def frozen_digests() -> dict[str, str]:
         "transition_weights": test_kernel.frozen_weights_digest(),
         "grow_trajectory": test_kernel.frozen_trajectories_digest(),
     }
+    for q in test_qmeasure.FROZEN_LEVEL_WEIGHTS:
+        key = f"_level_weights 21..40 q={q}"
+        digests[key] = test_qmeasure.frozen_level_weights_digest(q)
     for *case, _ in test_growth.FROZEN_OUTPUTS:
         key = "simulate_rescaled" + "".join(f" {v}" for v in case)
         digests[key] = test_growth.frozen_output_digest(*case)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -140,6 +141,30 @@ def test_level_weights_match_shape_by_shape(q):
         assert hook_identity_residual(n, qp) == hook_identity_residual_by_shape(n, qp)
 
 
+# SHA-256 of the little-endian bytes of _level_weights(n, QParam(q)) for
+# n = 21..40 in turn, the levels above the shape-by-shape comparison, as
+# first recorded with the level tables' whole-level b and unchecked dims
+FROZEN_LEVEL_WEIGHTS = {
+    1e-3: "343137be6024f83e0993fa37aaaba6a6028cc55f8e48e04719fed507bf64616d",
+    0.5: "c808fc96b21c7000963e22a785655f8ec7f0b2db101a6ebb0896e773f0f10725",
+    0.999: "6adef70b4da3d7c9b80d55dd95353f1d10f0193d63a3c5a7734d7c3c078efc4d",
+    1.0: "82bd47c2a1e527d72c2aad7ad1180c17cdbe2f3379286f27895873eab1325304",
+}
+
+
+def frozen_level_weights_digest(q: float) -> str:
+    qp = QParam(q)
+    digest = hashlib.sha256()
+    for n in range(21, LEVEL_CAP + 1):
+        digest.update(_level_weights(n, qp).astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("q", list(FROZEN_LEVEL_WEIGHTS))
+def test_level_weights_are_frozen(q):
+    assert frozen_level_weights_digest(q) == FROZEN_LEVEL_WEIGHTS[q]
+
+
 def test_wide_shapes_match_the_shape_routes():
     # hooks above int8's range (the row, the column, the word shape), and
     # dims past the double range (the square, the word shape), whose
@@ -153,6 +178,8 @@ def test_wide_shapes_match_the_shape_routes():
     data = [hook_data(lam) for lam in shapes]
     assert [max(d.hooks) > 127 for d in data] == [True, True, False, True]
     assert [d.dim > sys.float_info.max for d in data] == [False, False, True, True]
+    # exact Python ints, not numpy scalars, which would wrap past int64
+    assert {type(v) for d in data for v in (d.b_stat, d.dim)} == {int}
     assert data == [hook_data_by_cells(lam) for lam in shapes]
     for q in [1e-20, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9, 1.0]:
         qp = QParam(q)
