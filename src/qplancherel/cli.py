@@ -287,7 +287,7 @@ def run_pushforward(config: RunConfig) -> int:
     if config.n < 1:
         raise ConfigError("pushforward needs n >= 1")
     qp = QParam(config.q)
-    # both run in decreasing lexicographic shape order
+    # both run in enumerate_level's order
     distribution = [
         {"shape": list(shape.parts), "probability": prob, "reference": reference}
         for (shape, prob), reference in zip(

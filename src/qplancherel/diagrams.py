@@ -14,8 +14,8 @@ one more minimum than maxima, and for a partition the center identity
 ``sum(x) - sum(y) = 0`` holds.  All combinatorial quantities here (hook
 lengths, the statistic b, the number of standard tableaux) are exact
 integers; floating point enters only downstream.  A whole level is
-also held as arrays, one row per partition (:func:`_level_table`), for
-the sums and draws that run over every shape of a level.
+also held as arrays over its partitions (:func:`_level_table`), for the
+sums and draws that run over every shape of a level.
 """
 
 from __future__ import annotations
@@ -176,14 +176,13 @@ def _level_parts(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LevelTable:
-    """Every shape of one level as arrays, one row per shape.
+    """Every shape of one level as arrays, one column per shape.
 
-    Rows follow :func:`enumerate_level`; ``hooks`` has the n hook lengths
-    of :func:`hook_data`'s row-major order, and ``dim`` the exact
-    tableau count rounded once to a double.
+    Columns follow :func:`enumerate_level`; ``hooks`` is n x S int8 in C
+    order, row k the k-th hook (:func:`hook_data`'s row-major order) of
+    every shape, and ``dim`` the exact tableau count rounded to a double.
     """
 
-    parts: np.ndarray
     hooks: np.ndarray
     b_stat: np.ndarray
     dim: np.ndarray
@@ -193,17 +192,18 @@ class _LevelTable:
 def _level_table(n: int) -> _LevelTable:
     # a level's hook data, one row chunk of _hook_rows at a time; refused
     # above LEVEL_CAP.  Hooks are at most n <= 40, so each chunk's go to
-    # int8 before the next is built; each exact dim is rounded once
+    # int8 hook columns before the next is built; each dim is rounded once
     parts = _level_parts(n)
     rows = _HOOK_CHUNK_CELLS // max(1, n)
     chunks = []
     for r in range(0, len(parts), rows):
         hooks, b_stat, dim = _hook_rows(parts[r : r + rows])
-        chunks.append((hooks.astype(np.int8), b_stat, list(map(float, dim))))
-    hooks, b_stat, dim = map(np.concatenate, zip(*chunks))
+        columns = np.ascontiguousarray(hooks.T, dtype=np.int8)
+        chunks.append((columns, b_stat, list(map(float, dim))))
+    hooks, b_stat, dim = (np.concatenate(a, axis=-1) for a in zip(*chunks))
     for array in (hooks, b_stat, dim):
         array.flags.writeable = False
-    return _LevelTable(parts, hooks, b_stat, dim)
+    return _LevelTable(hooks, b_stat, dim)
 
 
 def _hook_rows(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:

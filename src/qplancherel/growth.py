@@ -143,11 +143,14 @@ def growth_derivative(
 ) -> float:
     """d/dt at t = 0 of the deformed R-function, in closed form.
 
-    R c^2 sum_k mu_k q^d / [d]_q^2 with d = x - x_k.
+    R c^2 sum_k mu_k q^d / [d]_q^2 with d = x - x_k.  At x = inf it is
+    the limit 0, for every q.
     """
     if weights is None:
         weights = kernel.transition_weights(w, qp)
     weights = _checked_weights(w, weights)
+    if x == math.inf:
+        return 0.0
     try:
         total = math.fsum(
             v * math.exp(-(x - xk) * qp.log_inv) / qp.bracket(x - xk) ** 2

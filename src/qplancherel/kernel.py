@@ -188,12 +188,19 @@ def partial_fraction_weights(w: InterlacingDiagram, qp: QParam) -> tuple[float, 
 def sample_index(weights, u: float) -> int:
     """Inverse-CDF selection: first k whose Kahan running sum reaches u * total.
 
-    Ties resolve to the smaller index.  No weights, a NaN or infinite
-    weight, or all zeros raise ValueError: the fsum must be finite and positive.
+    Ties resolve to the smaller index.  A negative weight raises
+    ValueError, and so do no weights, a NaN or infinite weight, all zeros
+    or a sum past the double range: the fsum must be finite and positive.
     """
-    total = math.fsum(weights)
-    if not 0.0 < total < math.inf:
-        raise ValueError(f"weights must have a finite positive sum, got {total}")
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        total = math.inf
+    # min is reached only with a finite positive sum, so never on no weights
+    if not (0.0 < total < math.inf and min(weights) >= 0.0):
+        raise ValueError(
+            f"weights must be nonnegative with a finite positive sum, got sum {total}"
+        )
     threshold = u * total
     running = 0.0
     compensation = 0.0

@@ -214,8 +214,11 @@ def h_from_p_partition_sum(p_values, n: int) -> float:
 def r_diagram(w: InterlacingDiagram, qp: QParam, x: float) -> float:
     """R(x; q) = prod_j [x - y_j]_q / prod_k [x - x_k]_q over the corners of ``w``.
 
-    Requires ``x`` away from the poles at the minima.
+    Requires ``x`` away from the poles at the minima.  At x = inf it is
+    the limit 1 - q, which is 0 at q = 1.
     """
+    if x == math.inf:
+        return qp.one_minus_q
     value = 1.0
     for i, xk in enumerate(w.minima):
         value /= _pole_bracket(qp, x, xk)

@@ -49,7 +49,8 @@ class QParam:
         object.__setattr__(self, "q", q)
         if not (0.0 < q <= 1.0) or not math.isfinite(q):
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
-        rho = -math.log(q)
+        # -log(1.0) is -0.0; the classical case carries +0.0 in both fields
+        rho = -math.log(q) if q < 1.0 else 0.0
         one_minus_q = -math.expm1(-rho)
         object.__setattr__(self, "log_inv", rho)
         object.__setattr__(self, "one_minus_q", one_minus_q)
@@ -101,23 +102,23 @@ def _bracket_table(n: int, qp: QParam) -> list[float]:
 
 
 def _weights(hooks: np.ndarray, b_stat: list[int], dim: list, qp: QParam) -> list:
-    # dim * q^b / prod [h]_q of each row of a hook matrix, with the row's
-    # b and dim (an exact int or its double).  Every [h]_q is at least 1,
-    # so the running quotient only falls: while it ends in the normal
-    # range, dim times it is accurate to rounding (a dim past the double
-    # range never gets there), and below it the product is taken in log
-    # space, where dim can lift it back.  The divisions run one hook
-    # column at a time, in hook order, the columns cast to intp once (IEEE
-    # division is correctly rounded in numpy as in Python)
+    # dim * q^b / prod [h]_q of each shape, from hook columns (row k of
+    # ``hooks`` holds every shape's k-th hook) and each shape's b and dim
+    # (an exact int or its double).  Every [h]_q is at least 1, so the
+    # running quotient only falls: while it ends in the normal range, dim
+    # times it is accurate to rounding (a dim past the double range never
+    # gets there), and below it in log space, where dim can lift it back.
+    # The divisions run row by row, in hook order, each row read in place
+    # (IEEE division is correctly rounded in numpy as in Python)
     table = _bracket_table(int(hooks.max(initial=0)), qp)
     brackets = np.array(table)
     value = np.array([qp.q**b for b in b_stat])
-    for column in np.ascontiguousarray(hooks.T, dtype=np.intp):
+    for column in hooks:
         value /= brackets.take(column)
     tiny = sys.float_info.min
     weights = [d * v if v >= tiny else 0.0 for d, v in zip(dim, value.tolist())]
     for r in np.flatnonzero(~(value >= tiny)).tolist():
-        weights[r] = _log_weight(dim[r], b_stat[r], hooks[r].tolist(), qp, table)
+        weights[r] = _log_weight(dim[r], b_stat[r], hooks[:, r].tolist(), qp, table)
     return weights
 
 
@@ -140,7 +141,7 @@ def _level_weights(n: int, qp: QParam) -> np.ndarray:
 def q_measure(partition: Partition, qp: QParam) -> float:
     """Probability of ``partition`` under the level-n deformed measure."""
     data = hook_data(partition)
-    hooks = np.array([data.hooks], dtype=np.intp)
+    hooks = np.array([data.hooks], dtype=np.intp).T
     return _weights(hooks, [data.b_stat], [data.dim], qp)[0]
 
 

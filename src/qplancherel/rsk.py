@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .diagrams import CapacityError, Partition
+from .diagrams import CapacityError, Partition, enumerate_level
 from .qmeasure import polynomial_bracket
 
 _MAX_PUSHFORWARD_N = 20
@@ -164,14 +164,14 @@ def pushforward_exact(n: int, q):
 
     ``q`` may be a float or a Fraction; the arithmetic follows its type.
     The normalizer is checked against the Poincare polynomial.  Returns
-    a dict keyed by shape, in decreasing lexicographic shape order.
+    a dict keyed by shape, in :func:`enumerate_level`'s order.
     """
     if not (0 < q <= 1):
         raise ValueError(f"q must lie in (0, 1], got {q}")
     dist = maj_distribution(n)
     masses = {
         shape: sum(count * q**m for m, count in dist[shape])
-        for shape in sorted(dist, key=lambda s: s.parts, reverse=True)
+        for shape in enumerate_level(n)
     }
     total = sum(masses.values())
     expected = poincare_polynomial(n, q)

@@ -16,7 +16,7 @@ from qplancherel import (
     hook_data,
     to_interlacing,
 )
-from qplancherel.diagrams import LEVEL_CAP, _level_table
+from qplancherel.diagrams import LEVEL_CAP, _level_parts, _level_table
 
 from conftest import partitions
 from oracles import (
@@ -251,8 +251,8 @@ def test_capacity_limit():
 
 def _assert_table_row(table, r: int, lam: Partition) -> None:
     data = hook_data_by_cells(lam)
-    assert tuple(filter(None, table.parts[r].tolist())) == lam.parts
-    assert tuple(table.hooks[r].tolist()) == data.hooks
+    assert tuple(filter(None, _level_parts(lam.size)[r].tolist())) == lam.parts
+    assert tuple(table.hooks[:, r].tolist()) == data.hooks
     assert table.b_stat[r] == data.b_stat
     assert table.dim[r] == float(data.dim)
 
@@ -270,7 +270,7 @@ def test_level_table_matches_the_shapes(n):
     level = enumerate_level(n)
     assert level == tuple(level_partitions(n))
     table = _level_table(n)
-    assert len(table.parts) == len(level)
+    assert len(table.dim) == len(level)
     for r, lam in enumerate(level):
         _assert_table_row(table, r, lam)
 
@@ -278,7 +278,7 @@ def test_level_table_matches_the_shapes(n):
 def test_level_table_at_the_cap():
     level = enumerate_level(LEVEL_CAP)
     table = _level_table(LEVEL_CAP)
-    assert len(table.parts) == len(level) == _partition_counts(LEVEL_CAP)[-1]
+    assert len(table.dim) == len(level) == _partition_counts(LEVEL_CAP)[-1]
     rows = np.random.default_rng(40).choice(len(level), size=200, replace=False)
     for r in [0, len(level) - 1, *rows.tolist()]:
         _assert_table_row(table, r, level[r])
@@ -296,8 +296,12 @@ def test_level_table_range():
 def test_level_table_is_cached_and_read_only():
     table = _level_table(9)
     assert _level_table(9) is table
-    for array in (table.parts, table.hooks, table.b_stat, table.dim):
+    for array in (table.hooks, table.b_stat, table.dim):
         assert not array.flags.writeable
+    # row k holds every shape's k-th hook, contiguous, as int8
+    assert table.hooks.shape == (9, len(enumerate_level(9)))
+    assert table.hooks.dtype == np.int8
+    assert table.hooks.flags.c_contiguous
 
 
 def test_enumeration_is_cached():

@@ -170,6 +170,16 @@ class TestGrowthDerivative:
         with pytest.raises(MomentOverflowError, match=f"x = {x}, q = 0.001"):
             growth_derivative(w, QParam(1e-3), x)
 
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("parts", [(), (2, 1)])
+    def test_limits_at_infinity(self, parts, q):
+        # R -> 1 - q, which is 0 at q = 1, and dR/dt -> 0; at q = 1 the
+        # products formed inf / inf and q^d formed inf * 0
+        qp = QParam(q)
+        w = to_interlacing(Partition(parts))
+        assert r_diagram(w, qp, math.inf) == qp.one_minus_q
+        assert growth_derivative(w, qp, math.inf) == 0.0
+
     def test_wrong_weight_count_rejected(self):
         # (2, 1) has three minima; one weight must not be zipped silently
         w = to_interlacing(Partition((2, 1)))

@@ -233,11 +233,21 @@ def test_sample_index_boundaries():
 
 
 @pytest.mark.parametrize(
-    "weights", [(), (0.5, math.nan), (0.5, math.inf), (0.0, 0.0, 0.0)]
+    "weights",
+    [
+        (),
+        (0.5, math.nan),
+        (0.5, math.inf),
+        (0.0, 0.0, 0.0),
+        (1e308, 1e308),
+        (1.0, -0.5, 0.2),
+        (1.0, -0.5),
+    ],
 )
 def test_sample_index_refuses_weights_without_a_finite_positive_sum(weights):
-    # the selection loop alone returns -1 for no weights and the last
-    # index for a NaN weight
+    # the selection loop alone returns -1 for no weights, the last index
+    # for a NaN weight and 0 for the negative ones; fsum's own overflow
+    # is an OverflowError
     with pytest.raises(ValueError, match="finite positive sum"):
         sample_index(weights, 0.5)
 

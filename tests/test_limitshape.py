@@ -81,6 +81,7 @@ class TestSolveROmega:
         for x in far[:-1]:
             assert _within_ulps(solve_r_omega(x, classical), 1.0 / x, 2), x
         assert solve_r_omega(math.inf, classical) == 0.0
+        assert math.copysign(1.0, solve_r_omega(math.inf, classical)) == 1.0
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_nan_raises(self, q):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qplancherel
 from qplancherel import (
     Partition,
     QParam,
@@ -20,7 +22,7 @@ from qplancherel import (
     q_measure_exact,
 )
 from qplancherel import moments, qmeasure
-from qplancherel.diagrams import LEVEL_CAP
+from qplancherel.diagrams import LEVEL_CAP, _level_table
 from qplancherel.qmeasure import MomentOverflowError, _level_weights
 
 from conftest import partitions
@@ -45,6 +47,10 @@ def test_qparam_validation():
     assert QParam(1.0).is_classical
     assert not QParam(0.5).is_classical
     assert QParam(0.5).log_inv == pytest.approx(math.log(2.0), rel=1e-15)
+    # -log(1.0) is -0.0; the classical fields are +0.0
+    classical = QParam(1.0)
+    for zero in (classical.log_inv, classical.one_minus_q):
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def test_known_value():
@@ -204,11 +210,28 @@ def test_level_weights_take_the_log_space_branch(monkeypatch):
     assert calls
 
 
+def test_level_weights_read_the_hook_columns_in_place():
+    # a warm level-40 pass holds its per-shape lists and arrays, ~4 MB; a
+    # whole-level intp copy of the hooks (37,338 x 40 x 8 B) adds 12 MB
+    _level_table(LEVEL_CAP)
+    tracemalloc.start()
+    try:
+        hook_identity_residual(LEVEL_CAP, QParam(0.999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_hook_identity_scale_overflow_is_typed():
     # (1 - q)^(-40) at q = 1 - 1e-9 is 1e360, beyond the double range
     with pytest.raises(MomentOverflowError, match="floating-point range"):
         hook_identity_residual(40, QParam(1 - 1e-9))
     assert moments.MomentOverflowError is MomentOverflowError
+    # both typed errors of the public functions are public names
+    assert qplancherel.MomentOverflowError is MomentOverflowError
+    assert qplancherel.PoleProximityError is moments.PoleProximityError
+    assert {"MomentOverflowError", "PoleProximityError"} <= set(qplancherel.__all__)
 
 
 def test_measure_positive():
